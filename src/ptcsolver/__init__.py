@@ -11,15 +11,6 @@ map the behavior.
 """
 
 from ._kv import DocumentError
-from .analysis import (
-    ScanRecord,
-    ScanResult,
-    brute_force_max_feasible,
-    scan_divergence,
-    scan_records,
-    summarize_intervals,
-    write_csv,
-)
 from .bisection import (
     Certificate,
     InfeasibleAtLowerBound,
@@ -33,16 +24,6 @@ from .bisection import (
     whole_dollar_view,
 )
 from .figures import BREAKPOINTS, FigureTable, applicable_figure
-from .iteration import (
-    Cycle,
-    IterationOutcome,
-    IterationPoint,
-    IterationStatus,
-    liminf_deduction,
-    run_iteration,
-    simplified_method,
-    step,
-)
 from .money import Money, RoundingMode, money_ratio, round_money
 from .params import (
     RepaymentTable,
@@ -64,6 +45,49 @@ from .reconcile import UNLIMITED, NetOutcome, Unlimited, reconcile, repayment_li
 from .scenario import FilingStatus, Scenario, dump_scenario, parse_scenario
 
 __version__ = "0.1.0"
+
+# The iteration method and the scanner load on first use, so that a solve
+# (``ptcsolve solve``) does not pay for importing them.
+_LAZY = dict.fromkeys(
+    (
+        "ScanRecord",
+        "ScanResult",
+        "brute_force_max_feasible",
+        "scan_divergence",
+        "scan_records",
+        "summarize_intervals",
+        "write_csv",
+    ),
+    "analysis",
+) | dict.fromkeys(
+    (
+        "Cycle",
+        "IterationOutcome",
+        "IterationPoint",
+        "IterationStatus",
+        "liminf_deduction",
+        "run_iteration",
+        "simplified_method",
+        "step",
+    ),
+    "iteration",
+)
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "BREAKPOINTS",

@@ -29,17 +29,16 @@ class DocumentError(ValueError):
 def read_kv(source: str | Path | IO[str]) -> dict[str, tuple[str, int]]:
     """Parse a document into ``{key: (raw_value, line_number)}``.
 
-    ``source`` may be a path, a file object, or the document text itself
-    (anything containing a newline or an ``=`` is treated as text).
+    A ``str`` is always the document text itself.  A file is passed as a
+    :class:`~pathlib.Path` or as an open text file, so a file name given
+    as a ``str`` is parsed as text and fails with :class:`DocumentError`.
     """
-    if hasattr(source, "read"):
-        text = source.read()
+    if isinstance(source, str):
+        text = source
     elif isinstance(source, Path):
         text = source.read_text(encoding="utf-8")
-    elif isinstance(source, str) and ("\n" in source or "=" in source):
-        text = source
     else:
-        text = Path(source).read_text(encoding="utf-8")
+        text = source.read()
 
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -94,14 +94,18 @@ def _grid(lo: Money, hi: Money, step: Money) -> Iterator[Money]:
 def scan_point(template: Scenario, income: Money, params: TaxYearParams,
                rounding: RoundingMode = RoundingMode.CENT) -> ScanRecord:
     """Run every method at one income and package the comparison."""
-    ctx = PtcContext(template.with_income(income), params, rounding)
+    return _scan_scenario(template.with_income(income), params, rounding)
+
+
+def _scan_scenario(scenario: Scenario, params: TaxYearParams, rounding: RoundingMode) -> ScanRecord:
+    ctx = PtcContext(scenario, params, rounding)
     outcome = run_iteration(ctx, max_iter=2000)
     _, simplified_credit = simplified_method(ctx)
     solution = optimal_deduction(ctx)
     oracle_d = brute_force_max_feasible(ctx, Money(100))
     slack = ctx.scenario.purchased_premium - (solution.deduction + solution.ptc)
     return ScanRecord(
-        income=income,
+        income=scenario.income,
         irs_status=_STATUS_LABEL[outcome.status],
         simplified_ptc=simplified_credit,
         bisection_ptc=solution.ptc,
@@ -119,20 +123,24 @@ def scan_records(
     step: Money,
     params: TaxYearParams,
     rounding: RoundingMode = RoundingMode.CENT,
-    on_error: Callable[[Money, Exception], None] | None = None,
+    on_error: Callable[[Money, ValueError], None] | None = None,
 ) -> Iterator[ScanRecord]:
     """Stream scan records in ascending income order.
 
-    Individual-point failures (for example a grid income below the
-    purchased premium) go to ``on_error`` and never abort the sweep.
+    A grid income the template cannot take (for example one below the
+    purchased premium) makes scenario validation raise ``ValueError``;
+    with ``on_error`` set that point goes to it and the sweep goes on.
+    Any other error, and every error without ``on_error``, propagates.
     """
     for income in _grid(income_lo, income_hi, step):
         try:
-            yield scan_point(template, income, params, rounding)
-        except Exception as exc:  # noqa: BLE001 - sweep must survive any point
+            scenario = template.with_income(income)
+        except ValueError as exc:
             if on_error is None:
                 raise
             on_error(income, exc)
+            continue
+        yield _scan_scenario(scenario, params, rounding)
 
 
 def _classify(record: ScanRecord) -> dict[str, bool]:

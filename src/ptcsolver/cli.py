@@ -5,7 +5,7 @@ Scenarios come from a ``key = value`` file, from repeatable
 serve as a sweep template).  Exit codes are a stable contract:
 
 * 0 - success (for ``iterate``: converged)
-* 2 - invalid scenario
+* 2 - invalid scenario or option value
 * 3 - unknown tax year or bad parameter file
 * 4 - ``iterate`` hit the guidance's do-not-use divergence condition
 * 5 - ``iterate`` exhausted its step budget
@@ -17,23 +17,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ._kv import DocumentError
-from .analysis import brute_force_max_feasible, print_interval_summary, scan_divergence, write_csv
 from .bisection import Solution, optimal_deduction, whole_dollar_view
-from .iteration import (
-    IterationOutcome,
-    IterationStatus,
-    liminf_deduction,
-    run_iteration,
-    simplified_method,
-)
 from .money import Money, RoundingMode
 from .params import TaxYearParams, load_tax_year_params, tax_year_params
 from .ptc import PtcContext, ptc_of_deduction
 from .reconcile import NetOutcome, Unlimited, reconcile
 from .scenario import Scenario, parse_scenario
+
+if TYPE_CHECKING:
+    from .iteration import IterationOutcome
 
 EXIT_OK = 0
 EXIT_BAD_SCENARIO = 2
@@ -168,6 +163,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _iterate_json(ctx: PtcContext, outcome: IterationOutcome) -> dict:
+    from .iteration import simplified_method
+
     def point(p) -> dict:
         return {"n": p.index, "c": _money_str(p.credit), "d": _money_str(p.deduction)}
 
@@ -186,7 +183,15 @@ def _iterate_json(ctx: PtcContext, outcome: IterationOutcome) -> dict:
     return payload
 
 
+def _check_max_iter(args: argparse.Namespace) -> None:
+    if args.max_iter < 2:
+        raise _CliError(f"--max-iter must be at least 2, got {args.max_iter}", EXIT_BAD_SCENARIO)
+
+
 def _cmd_iterate(args: argparse.Namespace) -> int:
+    from .iteration import IterationStatus, liminf_deduction, run_iteration, simplified_method
+
+    _check_max_iter(args)
     ctx = _context(args)
     outcome = run_iteration(ctx, max_iter=args.max_iter)
     code = {
@@ -219,6 +224,10 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .analysis import brute_force_max_feasible
+    from .iteration import IterationStatus, liminf_deduction, run_iteration, simplified_method
+
+    _check_max_iter(args)
     ctx = _context(args)
     outcome = run_iteration(ctx, max_iter=args.max_iter)
     d2, c3 = simplified_method(ctx)
@@ -279,11 +288,15 @@ def _parse_cli_money(label: str, raw: str) -> Money:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .analysis import print_interval_summary, scan_divergence, write_csv
+
     scenario = _load_scenario(args)
     params = _load_params(args, scenario)
     lo = _parse_cli_money("--from", args.income_from)
     hi = _parse_cli_money("--to", args.income_to)
     step = _parse_cli_money("--step", args.step)
+    if step < Money(100):
+        raise _CliError(f"--step must be at least $1, got {step}", EXIT_BAD_SCENARIO)
     if lo > hi:
         raise _CliError(f"--from {lo} exceeds --to {hi}", EXIT_BAD_SCENARIO)
     result = scan_divergence(scenario, lo, hi, step, params, _rounding(args.mode))

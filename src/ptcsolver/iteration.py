@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .money import Money, RoundingMode, round_cents
-from .ptc import PtcContext, credit_cents_fn
+from .ptc import PtcContext, credit_cents_fn, max_deduction_for_income_floor
 
 
 class IterationStatus(Enum):

@@ -90,6 +90,10 @@ def _parse_whole_dollars(key: str, raw: str, line: int) -> Money:
 def load_tax_year_params(source: str | Path | IO[str]) -> TaxYearParams:
     """Load and validate a tax-year parameter document.
 
+    ``source`` is the document text as a ``str``, or a file as a
+    :class:`~pathlib.Path` or an open text file; a file name passed as a
+    ``str`` is read as text and fails.
+
     Raises :class:`DocumentError` naming the offending key for malformed
     values, missing fields, or figure values that violate the table
     invariants (non-monotone, out of range, too precise).

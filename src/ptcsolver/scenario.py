@@ -105,9 +105,14 @@ def _parse_bool(key: str, raw: str, line: int) -> bool:
 
 
 def parse_scenario(
-    source: str | Path | IO[str], overrides: dict[str, str] | None = None
+    source: str | Path | IO[str] | None, overrides: dict[str, str] | None = None
 ) -> Scenario:
     """Parse a scenario document, with optional key-by-key overrides.
+
+    ``source`` is the document text as a ``str``, a file as a
+    :class:`~pathlib.Path` or an open text file, or ``None`` for a
+    scenario made of ``overrides`` alone.  A file name passed as a ``str``
+    is read as text and fails with :class:`DocumentError`.
 
     ``overrides`` maps document keys (``F``, ``I``, ...) to raw values and
     wins over the document, which lets one file act as a sweep template.

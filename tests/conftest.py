@@ -1,9 +1,22 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import ptcsolver
 from ptcsolver import PtcContext, RoundingMode, Scenario, tax_year_params
 from ptcsolver.money import Money
+
+
+@pytest.fixture(scope="session")
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports this ``ptcsolver``."""
+    src = str(Path(ptcsolver.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def dollars(amount) -> Money:

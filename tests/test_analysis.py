@@ -114,6 +114,21 @@ def test_failures_recorded_not_raised(brooklyn, params_2018):
     assert any(r.income == D(11000) for r in result.records)
 
 
+def test_point_errors_other_than_validation_propagate(brooklyn, params_2018, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken iteration")
+
+    monkeypatch.setattr("ptcsolver.analysis.run_iteration", broken)
+    skipped = []
+    points = scan_records(
+        brooklyn, D(71050), D(71250), D(50), params_2018,
+        on_error=lambda income, exc: skipped.append(income),
+    )
+    with pytest.raises(RuntimeError, match="broken iteration"):
+        list(points)
+    assert skipped == []
+
+
 def _record(income, status="converged", solvable=True, gap=0):
     return ScanRecord(
         income=D(income),

@@ -216,3 +216,21 @@ def test_scan_to_file_with_cents(brooklyn_file, tmp_path, capsys):
 
 def test_scan_rejects_reversed_range(brooklyn_file, capsys):
     assert main(["scan", brooklyn_file, "--from", "200", "--to", "100"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--from", "71050", "--to", "71250", "--step", "0.5"],
+        ["scan", "--from", "71050", "--to", "71250", "--step", "-5"],
+        ["iterate", "--max-iter", "1"],
+        ["compare", "--max-iter", "1"],
+    ],
+)
+def test_bad_option_values_exit_2(brooklyn_file, capsys, argv):
+    code = main([argv[0], brooklyn_file, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

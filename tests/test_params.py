@@ -111,3 +111,17 @@ def test_decreasing_values_rejected():
     doc = GOOD_DOC.replace("figure.b = 0.0810", "figure.b = 0.0500")
     with pytest.raises(DocumentError, match="nondecreasing"):
         load_tax_year_params(doc)
+
+
+def test_file_passed_as_path(tmp_path):
+    path = tmp_path / "a=b.params"
+    path.write_text(GOOD_DOC, encoding="utf-8")
+    assert load_tax_year_params(path) == load_tax_year_params(GOOD_DOC)
+
+
+@pytest.mark.parametrize("name", ["2018.params", "a=b.params"])
+def test_file_name_as_str_is_read_as_text(tmp_path, monkeypatch, name):
+    (tmp_path / name).write_text(GOOD_DOC, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DocumentError):
+        load_tax_year_params(name)

@@ -102,3 +102,19 @@ def test_with_income():
     assert sc.with_income(D(60000)).income == D(60000)
     with pytest.raises(ValueError):
         sc.with_income(D(100))  # below Q
+
+
+def test_file_passed_as_path_or_open_file(tmp_path):
+    path = tmp_path / "a=b.scenario"
+    path.write_text(BROOKLYN_DOC, encoding="utf-8")
+    assert parse_scenario(path) == parse_scenario(BROOKLYN_DOC)
+    with path.open(encoding="utf-8") as stream:
+        assert parse_scenario(stream) == parse_scenario(BROOKLYN_DOC)
+
+
+@pytest.mark.parametrize("name", ["brooklyn.scenario", "a=b.scenario"])
+def test_file_name_as_str_is_read_as_text(tmp_path, monkeypatch, name):
+    (tmp_path / name).write_text(BROOKLYN_DOC, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DocumentError):
+        parse_scenario(name)
