@@ -18,8 +18,6 @@ from .bisection import (
     SolveMethod,
     ThresholdProblem,
     optimal_deduction,
-    solve_no_aptc,
-    solve_with_aptc,
     threshold_search,
     whole_dollar_view,
 )
@@ -135,8 +133,6 @@ __all__ = [
     "scan_divergence",
     "scan_records",
     "simplified_method",
-    "solve_no_aptc",
-    "solve_with_aptc",
     "step",
     "student_loan_deduction",
     "summarize_intervals",

@@ -10,8 +10,8 @@ and fails, and it certifies its answer: the returned solution carries
 freshly recomputed values showing ``g(d) <= Q`` and ``g(d + $1) > Q``.
 
 ``threshold_search`` is the generic search for any monotone increasing,
-left-continuous function; the solve functions specialize it to the credit
-constraint with and without advance payments.
+left-continuous function; ``optimal_deduction`` specializes it to the
+credit constraint, with or without advance payments.
 """
 
 from __future__ import annotations
@@ -202,7 +202,14 @@ def _assert_monotone_spot_check(outlay: Callable[[Money], Money], upper: Money) 
             )
 
 
-def _solve(ctx: PtcContext) -> Solution:
+def optimal_deduction(ctx: PtcContext) -> Solution:
+    """Best self-employed health insurance deduction for any scenario.
+
+    Households that cannot reach the eligibility floor even with no
+    deduction (below the poverty line, absent the exception) cannot take
+    the credit, so they simply deduct the full billed balance.  Everyone
+    else gets the certified search, over [0, Q - APTC].
+    """
     sc = ctx.scenario
     upper = search_domain_upper(ctx)
     if upper < Money(0):
@@ -227,12 +234,9 @@ def _solve(ctx: PtcContext) -> Solution:
             tolerance=tolerance,
             midpoint_rounding=midpoint_rounding,
         )
-        try:
-            solution_d, trace = threshold_search(problem)
-        except InfeasibleAtLowerBound:
-            # Unreachable while the credit is capped at Q (g(0) <= Q always),
-            # but guarded: with no feasible point, no credit can be claimed.
-            return _ineligible_solution(ctx)
+        # threshold_search cannot raise InfeasibleAtLowerBound here: the
+        # kernel clamps the credit at Q, so g(0) = credit(0) <= Q.
+        solution_d, trace = threshold_search(problem)
         method = SolveMethod.BISECTION
 
     ptc = Money(credit(solution_d.cents))
@@ -244,33 +248,6 @@ def _solve(ctx: PtcContext) -> Solution:
         trace=trace,
         iterations=max(0, len(trace) - 1),
     )
-
-
-def solve_no_aptc(ctx: PtcContext) -> Solution:
-    """Optimal deduction for a return with no advance credit payments."""
-    if ctx.scenario.advance_credit > Money(0):
-        raise ValueError("scenario has advance payments; use solve_with_aptc")
-    return _solve(ctx)
-
-
-def solve_with_aptc(ctx: PtcContext) -> Solution:
-    """Optimal deduction when advance payments shrink the search interval."""
-    if ctx.scenario.advance_credit == Money(0):
-        raise ValueError("scenario has no advance payments; use solve_no_aptc")
-    return _solve(ctx)
-
-
-def optimal_deduction(ctx: PtcContext) -> Solution:
-    """Best self-employed health insurance deduction for any scenario.
-
-    Households below the poverty line without the exception cannot take
-    the credit, so they simply deduct the full billed balance.  Everyone
-    else gets the certified search, over [0, Q - APTC].
-    """
-    sc = ctx.scenario
-    if not sc.below_poverty_exception and sc.effective_income < sc.poverty_line:
-        return _ineligible_solution(ctx)
-    return _solve(ctx)
 
 
 def whole_dollar_view(ctx: PtcContext, solution: Solution) -> tuple[Money, Money]:

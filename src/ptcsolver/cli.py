@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -299,13 +300,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise _CliError(f"--step must be at least $1, got {step}", EXIT_BAD_SCENARIO)
     if lo > hi:
         raise _CliError(f"--from {lo} exceeds --to {hi}", EXIT_BAD_SCENARIO)
-    result = scan_divergence(scenario, lo, hi, step, params, _rounding(args.mode))
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        write_csv(result.records, out, cents=args.cents)
-    finally:
-        if args.out:
-            out.close()
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise _CliError(f"cannot write --out: {exc}", EXIT_BAD_SCENARIO) from None
+    with out as stream:
+        result = scan_divergence(scenario, lo, hi, step, params, _rounding(args.mode))
+        write_csv(result.records, stream, cents=args.cents)
     for income, message in result.failures:
         print(f"skipped {income}: {message}", file=sys.stderr)
     print_interval_summary(result.intervals, sys.stderr)

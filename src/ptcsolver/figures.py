@@ -8,12 +8,20 @@ expressed as a multiple ``m`` of the federal poverty line.  Per the Form
 single upward jump at m = 1.33.  All evaluation here is exact rational
 arithmetic; the jump and the breakpoints are classified without any
 floating-point error.
+
+The curve is written down once, as :attr:`FigureTable.segments`.
+:func:`applicable_figure` interpolates those rows in ``Fraction``
+arithmetic; the credit kernel in :mod:`ptcsolver.ptc` uses their integer
+form (:attr:`FigureTable.integer_segments`) with :func:`cent_cuts`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .money import round_fraction
 
@@ -28,6 +36,9 @@ BREAKPOINTS: tuple[Fraction, ...] = (
     Fraction(3),
     Fraction(4),
 )
+
+# The interior breakpoints cut the curve into its six segments.
+_CUTS = BREAKPOINTS[1:-1]
 
 _TEN_THOUSANDTH = Fraction(1, 10000)
 
@@ -76,46 +87,50 @@ class FigureTable:
     def as_tuple(self) -> tuple[Fraction, ...]:
         return (self.j, self.k, self.l, self.a, self.b, self.c)
 
-    def scaled_numerators(self) -> tuple[int, ...]:
-        """The six values as integer numerators over 10,000 (for int-only paths)."""
-        return tuple(int(v * 10000) for v in self.as_tuple())
+    @cached_property
+    def segments(self) -> tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]:
+        """The curve as rows ``(start, end, value_at_start, value_at_end)``.
+
+        Row 0 is flat at ``j`` up to the jump at 133%, so the jump's upper
+        side opens row 1; the last row is flat at ``c``.  Within a row the
+        figure is linear in the income multiple.
+        """
+        v = self.as_tuple()
+        return tuple(zip(BREAKPOINTS, BREAKPOINTS[1:], v, (v[0], *v[2:], v[-1])))
+
+    @cached_property
+    def integer_segments(self) -> tuple[tuple[int, int, int], ...]:
+        """Each row as integers ``(a, b, den)``: figure(m) = (a + b*m) / den."""
+        rows = []
+        for start, end, v0, v1 in self.segments:
+            slope = (v1 - v0) / (end - start)
+            intercept = v0 - slope * start
+            den = lcm(slope.denominator, intercept.denominator)
+            rows.append((int(intercept * den), int(slope * den), den))
+        return tuple(rows)
 
 
-def figure_parts(m_num: int, m_den: int, table: FigureTable) -> tuple[int, int]:
-    """Exact figure value at m = m_num/m_den as an integer numerator/denominator.
-
-    Implements the segment arithmetic with plain integers so callers that
-    evaluate millions of points (the brute-force oracle, the income
-    scanner) avoid Fraction construction entirely.  ``m`` must lie in
-    [0, 4]; values below 1 take the flat 100%-of-poverty-line figure.
-    """
-    if m_num < 0 or m_num > 4 * m_den:
-        raise ValueError(f"income multiple {Fraction(m_num, m_den)} outside [0, 4]")
-    jn, kn, ln_, an, bn, cn = table.scaled_numerators()
-    h = 100 * m_num
-    if h < 133 * m_den:
-        return jn, 10000
-    if 2 * m_num < 3 * m_den:
-        return 17 * kn * m_den + (ln_ - kn) * (h - 133 * m_den), 170000 * m_den
-    if m_num < 2 * m_den:
-        return ln_ * m_den + (an - ln_) * (2 * m_num - 3 * m_den), 10000 * m_den
-    if 2 * m_num < 5 * m_den:
-        return an * m_den + (bn - an) * (2 * m_num - 4 * m_den), 10000 * m_den
-    if m_num < 3 * m_den:
-        return bn * m_den + (cn - bn) * (2 * m_num - 5 * m_den), 10000 * m_den
-    return cn, 10000
+def cent_cuts(poverty_cents: int) -> list[int]:
+    """Smallest household income, in cents, at or past each breakpoint:
+    ``ceil(b * F)``.  ``bisect_right`` on the interior cuts finds the row
+    of an income in cents without forming its multiple."""
+    return [-(-b.numerator * poverty_cents // b.denominator) for b in BREAKPOINTS]
 
 
 def applicable_figure(m: Fraction, table: FigureTable, quantize: bool = False) -> Fraction:
     """Evaluate the applicable figure at an exact income multiple.
 
-    With ``quantize`` the result is additionally rounded half-away-from-zero
-    to the nearest ten-thousandth, matching the printed-table convention;
-    the default is the exact piecewise-linear value.
+    ``m`` must lie in [0, 4]; values below 1 take the flat 100%-of-poverty-line
+    figure.  With ``quantize`` the result is additionally rounded
+    half-away-from-zero to the nearest ten-thousandth, matching the
+    printed-table convention; the default is the exact piecewise-linear
+    value.
     """
     m = Fraction(m)
-    num, den = figure_parts(m.numerator, m.denominator, table)
-    value = Fraction(num, den)
+    if not 0 <= m <= BREAKPOINTS[-1]:
+        raise ValueError(f"income multiple {m} outside [0, {BREAKPOINTS[-1]}]")
+    start, end, v0, v1 = table.segments[bisect_right(_CUTS, m)]
+    value = v0 + (v1 - v0) * (m - start) / (end - start)
     if quantize:
         value = round_fraction(value, _TEN_THOUSANDTH)
     return value

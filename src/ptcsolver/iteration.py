@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .money import Money, RoundingMode, round_cents
-from .ptc import PtcContext, credit_cents_fn, max_deduction_for_income_floor
+from .bisection import search_domain_upper
+from .money import Money, round_cents
+from .ptc import PtcContext, credit_cents_fn
 
 
 class IterationStatus(Enum):
@@ -76,10 +77,8 @@ def default_start(ctx: PtcContext) -> tuple[IterationPoint, bool]:
     starting deduction is clamped to keep the first income evaluation
     eligible; the clamp is recorded so callers can surface it.
     """
-    sc = ctx.scenario
-    billed = sc.billed_balance
-    floor = Money(0) if sc.below_poverty_exception else sc.poverty_line
-    start = max_deduction_for_income_floor(ctx, floor)
+    billed = ctx.scenario.billed_balance
+    start = search_domain_upper(ctx)
     if start >= billed:
         return IterationPoint(Money(0), billed, 1), False
     return IterationPoint(Money(0), max(Money(0), start), 1), True

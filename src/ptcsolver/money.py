@@ -18,22 +18,23 @@ class RoundingMode(Enum):
     """Granularity applied to intermediate products and differences.
 
     CENT rounds each intermediate to the nearest penny, DOLLAR to the
-    nearest whole dollar (both half-away-from-zero).  NONE keeps values at
-    the cent lattice without any coarser rounding; it differs from CENT
-    only in intent, since cents are the finest granularity stored.
+    nearest whole dollar (both half-away-from-zero).
     """
 
     CENT = "cent"
     DOLLAR = "dollar"
-    NONE = "none"
 
 
-_MONEY_RE = re.compile(r"^-?\$?\d[\d,]*(\.\d{1,2})?$")
+# Digits, or comma-separated groups of three ("1,234"), then up to two decimals.
+_MONEY_RE = re.compile(r"^-?\$?(\d{1,3}(,\d{3})+|\d+)(\.\d{1,2})?$")
 
 
-def _round_half_away(value: Fraction) -> int:
-    """Nearest integer, ties away from zero."""
-    n, d = value.numerator, value.denominator
+def div_half_away(n: int, d: int) -> int:
+    """The integer nearest ``n / d`` (``d > 0``), ties away from zero.
+
+    The one rounding primitive: every half-away-from-zero rounding in
+    the package goes through it.
+    """
     if n >= 0:
         return (2 * n + d) // (2 * d)
     return -((-2 * n + d) // (2 * d))
@@ -53,8 +54,10 @@ class Money:
     def from_dollars(amount: int | str | Fraction) -> "Money":
         """Build from an exact dollar amount (int, decimal string, or Fraction).
 
-        Floats are rejected: they cannot represent most cent values exactly.
-        Raises ValueError if the amount is finer than one cent.
+        Strings may carry a leading ``$`` and thousands commas in groups of
+        three (``"$1,234.56"``).  Floats are rejected: they cannot represent
+        most cent values exactly.  Raises ValueError for a malformed string
+        or an amount finer than one cent.
         """
         if isinstance(amount, bool) or isinstance(amount, float):
             raise TypeError("Money.from_dollars rejects floats; pass int, str, or Fraction")
@@ -118,26 +121,26 @@ ONE_DOLLAR = Money(100)
 def round_money(dollars: Fraction, mode: RoundingMode) -> Money:
     """Round an exact dollar value to Money per the rounding mode.
 
-    CENT and NONE round half-away-from-zero at the cent; DOLLAR rounds
+    CENT rounds half-away-from-zero at the cent; DOLLAR rounds
     half-away-from-zero at the whole dollar.
     """
+    value = Fraction(dollars)
     if mode is RoundingMode.DOLLAR:
-        return Money(_round_half_away(Fraction(dollars)) * 100)
-    return Money(_round_half_away(Fraction(dollars) * 100))
+        return Money(div_half_away(value.numerator, value.denominator) * 100)
+    return Money(div_half_away(value.numerator * 100, value.denominator))
 
 
 def round_cents(cents: int, mode: RoundingMode) -> int:
     """Integer-cents variant of :func:`round_money` for hot paths."""
     if mode is not RoundingMode.DOLLAR:
         return cents
-    if cents >= 0:
-        return ((cents + 50) // 100) * 100
-    return -(((-cents + 50) // 100) * 100)
+    return div_half_away(cents, 100) * 100
 
 
 def round_fraction(value: Fraction, step: Fraction) -> Fraction:
     """Round to the nearest multiple of ``step``, ties away from zero."""
-    return _round_half_away(value / step) * step
+    q = value / step
+    return div_half_away(q.numerator, q.denominator) * step
 
 
 def money_ratio(numerator: Money, denominator: Money) -> Fraction:

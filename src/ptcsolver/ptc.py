@@ -24,13 +24,14 @@ intermediate product and difference before clamping.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .figures import applicable_figure
-from .money import Money, RoundingMode, money_ratio, round_money
+from .figures import BREAKPOINTS, applicable_figure, cent_cuts
+from .money import Money, RoundingMode, div_half_away, money_ratio, round_money
 from .params import TaxYearParams
 from .scenario import Scenario
 
@@ -135,10 +136,12 @@ def ptc_base(ctx: PtcContext, income: Money) -> Money:
     """
     sc = ctx.scenario
     m = money_ratio(income, sc.poverty_line)
-    if m > 4:
-        raise ValueError(f"income multiple {m} above 4; no credit applies")
-    if m < 1 and not sc.below_poverty_exception:
-        raise ValueError(f"income multiple {m} below 1 without the below-poverty exception")
+    if m > BREAKPOINTS[-1]:
+        raise ValueError(f"income multiple {m} above {BREAKPOINTS[-1]}; no credit applies")
+    if m < BREAKPOINTS[0] and not sc.below_poverty_exception:
+        raise ValueError(
+            f"income multiple {m} below {BREAKPOINTS[0]} without the below-poverty exception"
+        )
     if m < 0:
         raise ValueError("household income is negative")
     figure = applicable_figure(m, ctx.params.figure_table)
@@ -152,9 +155,10 @@ def credit_cents_fn(ctx: PtcContext) -> Callable[[int], int]:
 
     Returns a function mapping a deduction in cents to the credit in
     cents, used by the iteration, the bisection search and the
-    brute-force oracle.  It is exactly equal to :func:`ptc_of_deduction`
-    on the valid domain but avoids per-call object construction, which
-    matters when scanning millions of lattice points.
+    brute-force oracle.  It reads the figure from the integer form of the
+    curve's segment table and avoids per-call object construction, which
+    matters when scanning millions of lattice points; the test suite holds
+    it exactly equal to :func:`ptc_of_deduction_reference`.
     """
     return _credit_cents_fn_cached(ctx)
 
@@ -166,11 +170,16 @@ def _credit_cents_fn_cached(ctx: PtcContext) -> Callable[[int], int]:
     pc = sc.benchmark_premium.cents
     qc = sc.purchased_premium.cents
     base = sc.effective_income.cents
-    exception = sc.below_poverty_exception
     dollar_mode = ctx.rounding is RoundingMode.DOLLAR
+    unit = 100 if dollar_mode else 1
     sl_cap_c = None if sc.student_loan_cap is None else sc.student_loan_cap.cents
-    jn, kn, ln_, an, bn, cn = ctx.params.figure_table.scaled_numerators()
-    four_f = 4 * fc
+    # The outer cuts F and 4F are whole cents, so they bound the eligible
+    # range exactly; the interior ones pick the segment row.
+    low_c, *inner, high_c = cent_cuts(fc)
+    if sc.below_poverty_exception:
+        low_c = 0
+    # On a row, figure * M = (a*F + b*M) * M / (den*F): contribution in units.
+    rows = [(a * fc, b, den * fc * unit) for a, b, den in ctx.params.figure_table.integer_segments]
 
     def credit_cents(dc: int) -> int:
         mc = base - dc
@@ -178,39 +187,13 @@ def _credit_cents_fn_cached(ctx: PtcContext) -> Callable[[int], int]:
             if mc <= _SL_FLOOR_C:
                 mc -= sl_cap_c
             elif mc < _SL_CEIL_C:
-                mc -= (2 * sl_cap_c * (_SL_CEIL_C - mc) + _SL_WIDTH_C) // (2 * _SL_WIDTH_C)
-        if mc > four_f or mc < 0:
+                mc -= div_half_away(sl_cap_c * (_SL_CEIL_C - mc), _SL_WIDTH_C)
+        if mc > high_c or mc < low_c:
             return 0
-        if mc < fc and not exception:
-            return 0
-        h = 100 * mc
-        if h < 133 * fc:
-            fn, fd = jn, 10000
-        elif 2 * mc < 3 * fc:
-            fn = 17 * kn * fc + (ln_ - kn) * (h - 133 * fc)
-            fd = 170000 * fc
-        elif mc < 2 * fc:
-            fn = ln_ * fc + (an - ln_) * (2 * mc - 3 * fc)
-            fd = 10000 * fc
-        elif 2 * mc < 5 * fc:
-            fn = an * fc + (bn - an) * (2 * mc - 4 * fc)
-            fd = 10000 * fc
-        elif mc < 3 * fc:
-            fn = bn * fc + (cn - bn) * (2 * mc - 5 * fc)
-            fd = 10000 * fc
-        else:
-            fn, fd = cn, 10000
-        u = fn * mc
+        a, b, den = rows[bisect_right(inner, mc)]
+        diff = pc - unit * div_half_away((a + b * mc) * mc, den)
         if dollar_mode:
-            ec = 100 * ((2 * u + 100 * fd) // (200 * fd))
-        else:
-            ec = (2 * u + fd) // (2 * fd)
-        diff = pc - ec
-        if dollar_mode:
-            if diff >= 0:
-                diff = ((diff + 50) // 100) * 100
-            else:
-                diff = -(((-diff + 50) // 100) * 100)
+            diff = 100 * div_half_away(diff, 100)
         if diff <= 0:
             return 0
         return diff if diff < qc else qc
@@ -245,8 +228,8 @@ def ptc_of_deduction_reference(ctx: PtcContext, deduction: Money) -> Money:
     if income < Money(0):
         return Money(0)
     m = money_ratio(income, sc.poverty_line)
-    if m > 4:
+    if m > BREAKPOINTS[-1]:
         return Money(0)
-    if m < 1 and not sc.below_poverty_exception:
+    if m < BREAKPOINTS[0] and not sc.below_poverty_exception:
         return Money(0)
     return ptc_base(ctx, income)

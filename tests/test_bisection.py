@@ -16,8 +16,6 @@ from ptcsolver import (
     liminf_deduction,
     optimal_deduction,
     run_iteration,
-    solve_no_aptc,
-    solve_with_aptc,
     threshold_search,
     whole_dollar_view,
 )
@@ -91,7 +89,7 @@ def test_threshold_search_trace_contracts():
 
 
 def test_brooklyn_paper_mode(brooklyn_dollar_ctx):
-    solution = solve_no_aptc(brooklyn_dollar_ctx)
+    solution = optimal_deduction(brooklyn_dollar_ctx)
     assert solution.deduction == D(6208)
     assert solution.ptc == D(4182)
     assert solution.method is SolveMethod.BISECTION
@@ -103,6 +101,15 @@ def test_brooklyn_paper_mode(brooklyn_dollar_ctx):
     assert solution.iterations > 12  # "more than a dozen" halvings
     bound = math.ceil(math.log2(1039000 / 100)) + 2
     assert solution.iterations <= bound
+    # The bracket sequence of the worked example, as demos/03 prints it.
+    assert solution.trace == tuple(
+        (D(a), D(b))
+        for a, b in (
+            (0, 10390), (5195, 10390), (5195, 7793), (5195, 6494), (5845, 6494),
+            (6170, 6494), (6170, 6332), (6170, 6251), (6170, 6211), (6191, 6211),
+            (6201, 6211), (6206, 6211), (6206, 6209), (6208, 6209),
+        )
+    )
 
 
 def test_brooklyn_cent_mode_matches_oracle(brooklyn_cent_ctx):
@@ -113,7 +120,7 @@ def test_brooklyn_cent_mode_matches_oracle(brooklyn_cent_ctx):
 
 
 def test_brooklyn_improves_on_simplified(brooklyn_dollar_ctx):
-    solution = solve_no_aptc(brooklyn_dollar_ctx)
+    solution = optimal_deduction(brooklyn_dollar_ctx)
     outcome = run_iteration(brooklyn_dollar_ctx)
     assert solution.ptc == D(4182)  # versus $0 from the simplified method
     assert solution.deduction >= liminf_deduction(outcome)
@@ -130,7 +137,7 @@ def test_boundary_case(params_2018):
         tax_year="2018",
     )
     ctx = PtcContext(sc, params_2018)
-    solution = solve_no_aptc(ctx)
+    solution = optimal_deduction(ctx)
     assert solution.method is SolveMethod.BOUNDARY_B0
     assert solution.deduction == D(2000)  # b0 = min(Q, I - F)
     assert solution.iterations == 0
@@ -160,7 +167,7 @@ def test_aptc_equal_to_premium(params_2018, brooklyn):
         tax_year="2018",
         advance_credit=brooklyn.purchased_premium,
     )
-    solution = solve_with_aptc(PtcContext(sc, params_2018))
+    solution = optimal_deduction(PtcContext(sc, params_2018))
     assert solution.method is SolveMethod.BOUNDARY_B0
     assert solution.deduction == D(0)
 
@@ -176,7 +183,7 @@ def test_brooklyn_with_advance_payments(brooklyn, params_2018, aptc, max_d):
         advance_credit=D(aptc),
     )
     ctx = PtcContext(sc, params_2018)
-    solution = solve_with_aptc(ctx)
+    solution = optimal_deduction(ctx)
     assert solution.deduction <= D(max_d)
     oracle = brute_force_max_feasible(ctx, Money(100))
     assert abs(solution.deduction - oracle) <= D(1)
@@ -194,24 +201,9 @@ def test_aptc_leaves_unconstrained_optimum_alone(brooklyn, params_2018):
         tax_year="2018",
         advance_credit=D(2000),
     )
-    solution = solve_with_aptc(PtcContext(sc, params_2018, RoundingMode.DOLLAR))
+    solution = optimal_deduction(PtcContext(sc, params_2018, RoundingMode.DOLLAR))
     assert solution.deduction == D(6208)
     assert solution.ptc == D(4182)
-
-
-def test_solver_dispatch_validation(brooklyn_cent_ctx, params_2018, brooklyn):
-    with pytest.raises(ValueError):
-        solve_with_aptc(brooklyn_cent_ctx)  # no APTC on this scenario
-    sc = Scenario(
-        poverty_line=brooklyn.poverty_line,
-        benchmark_premium=brooklyn.benchmark_premium,
-        purchased_premium=brooklyn.purchased_premium,
-        income=brooklyn.income,
-        tax_year="2018",
-        advance_credit=D(50),
-    )
-    with pytest.raises(ValueError):
-        solve_no_aptc(PtcContext(sc, params_2018))
 
 
 def test_certificate_values_recomputed(brooklyn_cent_ctx):

@@ -89,6 +89,16 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
     assert "invalid scenario" in err
 
 
+def test_malformed_thousands_exit_2(brooklyn_file, capsys):
+    # A comma outside a thousands group is not read as $1,039,050.
+    code = main(["solve", brooklyn_file, "--set", "P=10390,50"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid scenario")
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_scenario_exit_2(capsys):
     assert main(["solve"]) == 2
     assert main(["solve", "--set", "F"]) == 2
@@ -212,6 +222,18 @@ def test_scan_to_file_with_cents(brooklyn_file, tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("71150.00,diverged,0.00,4182.00,6208.00,6208.00,")
+
+
+def test_scan_unopenable_out_exit_2(brooklyn_file, tmp_path, capsys):
+    # An output path that cannot be opened is a bad option value.
+    missing = tmp_path / "missing" / "scan.csv"
+    code = main(["scan", brooklyn_file, "--from", "71150", "--to", "71150", "--out", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not missing.parent.exists()
 
 
 def test_scan_rejects_reversed_range(brooklyn_file, capsys):

@@ -16,6 +16,11 @@ def test_construction_from_strings():
     assert D("865.81").cents == 86581
     assert D("$1,234.56").cents == 123456
     assert D("0").cents == 0
+    assert D("1,234,567").cents == 123456700
+    # Commas only in groups of three: "10390,50" is not $1,039,050.
+    for text in ("0,5", "7,1150", "1,,0", "10390,50", ",123", "1,234,", "12,34.50"):
+        with pytest.raises(ValueError):
+            D(text)
 
 
 def test_floats_rejected():
@@ -52,7 +57,7 @@ def test_ordering():
         (Fraction("865.81") * 12, RoundingMode.DOLLAR, D(10390)),
         (Fraction(0), RoundingMode.CENT, D(0)),
         (Fraction(0), RoundingMode.DOLLAR, D(0)),
-        (Fraction(0), RoundingMode.NONE, D(0)),
+        (Fraction("-5808.656"), RoundingMode.CENT, D("-5808.66")),
         (Fraction("5808.656"), RoundingMode.DOLLAR, D(5809)),
         (Fraction("5808.656"), RoundingMode.CENT, D("5808.66")),
         (Fraction("2.5"), RoundingMode.DOLLAR, D(3)),  # ties go away from zero
@@ -69,8 +74,6 @@ def test_round_money(value, mode, expected):
 def test_rounding_error_bounds(x):
     assert abs(round_money(x, RoundingMode.DOLLAR).dollars - x) <= Fraction(1, 2)
     assert abs(round_money(x, RoundingMode.CENT).dollars - x) <= Fraction(1, 200)
-    # NONE keeps cent granularity: identical to CENT numerically.
-    assert round_money(x, RoundingMode.NONE) == round_money(x, RoundingMode.CENT)
 
 
 @given(st.integers(min_value=-10**9, max_value=10**9))

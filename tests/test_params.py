@@ -45,8 +45,12 @@ def test_bundled_years_match_published_values():
     assert bundled_years() == ("2018", "2019")
     p18 = tax_year_params("2018")
     p19 = tax_year_params("2019")
-    assert p18.figure_table.scaled_numerators() == (201, 302, 403, 634, 810, 956)
-    assert p19.figure_table.scaled_numerators() == (208, 311, 415, 654, 836, 986)
+    assert p18.figure_table.as_tuple() == tuple(
+        Fraction(n, 10000) for n in (201, 302, 403, 634, 810, 956)
+    )
+    assert p19.figure_table.as_tuple() == tuple(
+        Fraction(n, 10000) for n in (208, 311, 415, 654, 836, 986)
+    )
     assert p19.repayment_table.single_limits() == (
         Money.from_dollars(300),
         Money.from_dollars(800),

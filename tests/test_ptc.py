@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptcsolver import (
+    BREAKPOINTS,
     FigureTable,
     PtcContext,
     RoundingMode,
@@ -21,7 +23,11 @@ from ptcsolver import (
 )
 from ptcsolver.params import RepaymentTable, TaxYearParams
 from ptcsolver.money import Money
-from ptcsolver.ptc import credit_cents_fn, ptc_of_deduction_reference
+from ptcsolver.ptc import (
+    credit_cents_fn,
+    max_deduction_for_income_floor,
+    ptc_of_deduction_reference,
+)
 
 D = Money.from_dollars
 
@@ -171,8 +177,10 @@ def _random_scenario(rng: random.Random) -> Scenario:
     i = rng.randrange(max(f, q), 6 * f + 1)
     aptc = 0 if rng.random() < 0.5 else rng.randrange(0, q + 1)
     return Scenario(
-        poverty_line=D(f),
-        benchmark_premium=D(p),
+        # Odd cents put the breakpoint cuts b*F between whole cents and
+        # give the dollar-mode rounding of P - contribution work to do.
+        poverty_line=Money(100 * f + i % 100),
+        benchmark_premium=Money(100 * p + f % 100),
         purchased_premium=D(q),
         income=D(i),
         tax_year="2018",
@@ -184,19 +192,33 @@ def _random_scenario(rng: random.Random) -> Scenario:
 
 
 @pytest.mark.parametrize("seed", [11, 23])
-def test_kernel_matches_reference(seed, params_2018):
+def test_kernel_matches_reference(seed, params_2018, params_2019):
     # The integer-cents kernel and the step-by-step Fraction composition
-    # must agree exactly, in both rounding modes, across the full domain.
+    # must agree exactly, in both rounding modes and under both bundled
+    # tables, across the full domain and wherever chained income sits on a
+    # breakpoint cut or one cent to either side of it.
     rng = random.Random(seed)
     for _ in range(40):
         sc = _random_scenario(rng)
+        upper = sc.billed_balance.cents
+        probe = PtcContext(sc, params_2018)
+        near_cuts = []
+        for beta in BREAKPOINTS:
+            cut = Money(math.ceil(beta * sc.poverty_line.cents))
+            on_cut = max_deduction_for_income_floor(probe, cut).cents
+            near_cuts += [dc for dc in (on_cut - 1, on_cut, on_cut + 1) if 0 <= dc <= upper]
         for mode in (RoundingMode.CENT, RoundingMode.DOLLAR):
-            ctx = PtcContext(sc, params_2018, mode)
-            upper = sc.billed_balance.cents
-            for _ in range(60):
-                dc = rng.randrange(0, upper + 1)
-                d = Money(dc)
-                assert ptc_of_deduction(ctx, d) == ptc_of_deduction_reference(ctx, d), (sc, mode, dc)
+            random_points = [rng.randrange(0, upper + 1) for _ in range(60)]
+            for params in (params_2018, params_2019):
+                ctx = PtcContext(sc, params, mode)
+                # The credit is clamped at Q, so g(0) = credit(0) <= Q: the
+                # bisection's lower end is always feasible.
+                assert ptc_of_deduction(ctx, Money(0)) <= sc.purchased_premium
+                for dc in random_points + near_cuts:
+                    d = Money(dc)
+                    assert ptc_of_deduction(ctx, d) == ptc_of_deduction_reference(ctx, d), (
+                        sc, params.year, mode, dc,
+                    )
 
 
 @given(dc=st.integers(min_value=0, max_value=1039000))
@@ -234,7 +256,7 @@ def test_left_continuity_at_the_jump(brooklyn, params_2018):
     # poverty line; approaching from below changes the credit only
     # marginally, while one cent above it jumps.
     sc = brooklyn.with_income(D(22100))
-    ctx = PtcContext(sc, params_2018, RoundingMode.NONE)
+    ctx = PtcContext(sc, params_2018, RoundingMode.CENT)
     d_star = Money(sc.income.cents - (133 * sc.poverty_line.cents) // 100)
     at = ptc_of_deduction(ctx, d_star)
     diffs = []
