@@ -13,12 +13,9 @@ map the behavior.
 from ._kv import DocumentError
 from .bisection import (
     Certificate,
-    InfeasibleAtLowerBound,
     Solution,
     SolveMethod,
-    ThresholdProblem,
     optimal_deduction,
-    threshold_search,
     whole_dollar_view,
 )
 from .figures import BREAKPOINTS, FigureTable, applicable_figure
@@ -41,6 +38,7 @@ from .ptc import (
 )
 from .reconcile import UNLIMITED, NetOutcome, Unlimited, reconcile, repayment_limitation
 from .scenario import FilingStatus, Scenario, dump_scenario, parse_scenario
+from .search import InfeasibleAtLowerBound, last_true
 
 __version__ = "0.1.0"
 
@@ -109,7 +107,6 @@ __all__ = [
     "Solution",
     "SolveMethod",
     "TaxYearParams",
-    "ThresholdProblem",
     "UNLIMITED",
     "Unlimited",
     "applicable_figure",
@@ -119,6 +116,7 @@ __all__ = [
     "dump_tax_year_params",
     "expected_contribution",
     "household_income",
+    "last_true",
     "liminf_deduction",
     "load_tax_year_params",
     "money_ratio",
@@ -137,7 +135,6 @@ __all__ = [
     "student_loan_deduction",
     "summarize_intervals",
     "tax_year_params",
-    "threshold_search",
     "whole_dollar_view",
     "write_csv",
 ]

@@ -21,6 +21,7 @@ from .money import Money, RoundingMode, round_cents
 from .params import TaxYearParams
 from .ptc import PtcContext, credit_cents_fn
 from .scenario import Scenario
+from .search import last_true
 
 CSV_HEADER = "income,irs_status,simplified_ptc,bisection_ptc,bisection_d,oracle_d,equation_solvable,benefit_gap"
 
@@ -184,19 +185,19 @@ def _refine_edge(
     inside: Money,
     outside: Money,
 ) -> Money:
-    """Bisect a classification boundary down to $1 grid resolution."""
-    lo, hi = (outside, inside) if outside < inside else (inside, outside)
-    while hi - lo > Money(100):
-        mid = Money((((lo.cents + hi.cents) // 2) // 100) * 100)
-        if mid <= lo or mid >= hi:
-            break
-        flag = _classify(scan_point(template, mid, params, rounding))[kind]
-        mid_is_inside = flag
-        if (outside < inside) == mid_is_inside:
-            hi = mid
-        else:
-            lo = mid
-    return hi if outside < inside else lo
+    """Bisect a classification boundary down to $1 grid resolution.
+
+    Returns the income nearest ``outside`` still classified ``kind``.  An
+    edge below its interval is searched on negated incomes, so the
+    predicate holds on the near side in both directions.
+    """
+    sign = 1 if inside < outside else -1
+
+    def is_inside(x: int) -> bool:
+        return _classify(scan_point(template, Money(sign * x), params, rounding))[kind]
+
+    edge, _ = last_true(is_inside, sign * inside.cents, sign * outside.cents, 100)
+    return Money(sign * edge)
 
 
 def scan_divergence(

@@ -9,9 +9,9 @@ where the fixed-point iteration of :mod:`ptcsolver.iteration` oscillates
 and fails, and it certifies its answer: the returned solution carries
 freshly recomputed values showing ``g(d) <= Q`` and ``g(d + $1) > Q``.
 
-``threshold_search`` is the generic search for any monotone increasing,
-left-continuous function; ``optimal_deduction`` specializes it to the
-credit constraint, with or without advance payments.
+``optimal_deduction`` runs the package's one search,
+:func:`ptcsolver.search.last_true`, on integer cents, with or without
+advance payments; Money is built only for the returned solution.
 """
 
 from __future__ import annotations
@@ -20,44 +20,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .money import Money, RoundingMode, round_money
+from .money import Money, RoundingMode
 from .ptc import PtcContext, credit_cents_fn, max_deduction_for_income_floor
-
-ONE_CENT = Money(1)
-ONE_DOLLAR = Money(100)
-
-
-class InfeasibleAtLowerBound(ValueError):
-    """The search precondition g(lo) <= threshold does not hold."""
+from .search import last_true
 
 
 class SolveMethod(Enum):
     BISECTION = "bisection"
     BOUNDARY_B0 = "boundary_b0"
     INELIGIBLE_FULL_DEDUCTION = "ineligible_full_deduction"
-
-
-@dataclass(frozen=True)
-class ThresholdProblem:
-    """Find the largest point where a monotone step-free-from-the-left map stays under a threshold.
-
-    ``fn`` must be monotone increasing and left-continuous on
-    [``lo``, ``hi``] with ``fn(lo) <= threshold``.  ``tolerance`` bounds the
-    final bracket width; midpoints are rounded per ``midpoint_rounding``.
-    """
-
-    fn: Callable[[Money], Money]
-    lo: Money
-    hi: Money
-    threshold: Money
-    tolerance: Money = Money(1)
-    midpoint_rounding: RoundingMode = RoundingMode.CENT
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"empty search interval [{self.lo}, {self.hi}]")
-        if self.tolerance < ONE_CENT:
-            raise ValueError(f"tolerance must be at least one cent, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -102,52 +73,6 @@ class Solution:
             )
 
 
-def threshold_search(problem: ThresholdProblem) -> tuple[Money, tuple[tuple[Money, Money], ...]]:
-    """Bisect down to the largest point still at or under the threshold.
-
-    Returns the point and the bracket trace [(a0, b0), (a1, b1), ...].
-    If the whole interval is feasible the upper endpoint is returned with
-    an empty trace.  Feasibility at the midpoint (a tie with the
-    threshold counts as feasible) moves the lower bracket up; otherwise
-    the upper bracket comes down.  The result ``c`` satisfies
-    ``fn(c) <= threshold`` while every lattice point more than
-    ``tolerance`` above ``c`` evaluates above the threshold.
-    """
-    fn, k = problem.fn, problem.threshold
-    if fn(problem.lo) > k:
-        raise InfeasibleAtLowerBound(
-            f"fn({problem.lo}) = {fn(problem.lo)} exceeds threshold {k}"
-        )
-    if fn(problem.hi) <= k:
-        return problem.hi, ()
-
-    a, b = problem.lo, problem.hi
-    trace = [(a, b)]
-    while b - a > problem.tolerance:
-        mid = round_money((a.dollars + b.dollars) / 2, problem.midpoint_rounding)
-        if mid <= a:
-            mid = a + ONE_CENT
-        elif mid >= b:
-            mid = b - ONE_CENT
-        if fn(mid) <= k:
-            a = mid
-        else:
-            b = mid
-        trace.append((a, b))
-    return a, tuple(trace)
-
-
-def _search_params(rounding: RoundingMode) -> tuple[Money, RoundingMode]:
-    """Tolerance and midpoint rounding for a context's precision mode.
-
-    Cent precision by default; dollar mode reproduces worked traces that
-    bisect on whole dollars with a $1 stopping width.
-    """
-    if rounding is RoundingMode.DOLLAR:
-        return Money(100), RoundingMode.DOLLAR
-    return Money(1), RoundingMode.CENT
-
-
 def search_domain_upper(ctx: PtcContext) -> Money:
     """Upper end of the deduction search interval.
 
@@ -163,41 +88,14 @@ def search_domain_upper(ctx: PtcContext) -> Money:
     return max_deduction_for_income_floor(ctx, floor)
 
 
-def _certificate(ctx: PtcContext, deduction: Money, upper: Money) -> Certificate:
-    credit = credit_cents_fn(ctx)
-    threshold = ctx.scenario.purchased_premium
-    value_at = deduction + Money(credit(deduction.cents))
-    above = deduction + ONE_DOLLAR
-    value_above = above + Money(credit(above.cents)) if above <= upper else None
-    return Certificate(value_at=value_at, value_above=value_above, threshold=threshold)
-
-
-def _ineligible_solution(ctx: PtcContext) -> Solution:
-    """Full deduction of the billed balance when no credit can be taken."""
-    sc = ctx.scenario
-    deduction = sc.billed_balance
-    ptc = Money(credit_cents_fn(ctx)(deduction.cents))
-    cert = Certificate(
-        value_at=deduction + ptc, value_above=None, threshold=sc.purchased_premium
-    )
-    return Solution(
-        deduction=deduction,
-        ptc=ptc,
-        method=SolveMethod.INELIGIBLE_FULL_DEDUCTION,
-        certificate=cert,
-        trace=(),
-        iterations=0,
-    )
-
-
-def _assert_monotone_spot_check(outlay: Callable[[Money], Money], upper: Money) -> None:
+def _assert_monotone_spot_check(outlay: Callable[[int], int], upper_c: int) -> None:
     """Cheap guard against non-monotone credit rules (refuse, don't mis-solve)."""
-    samples = [Money((upper.cents * i) // 8) for i in range(9)]
-    values = [outlay(d) for d in samples]
+    samples = [(upper_c * i) // 8 for i in range(9)]
+    values = [outlay(dc) for dc in samples]
     for d_prev, d_next, v_prev, v_next in zip(samples, samples[1:], values, values[1:]):
         if v_next < v_prev:
             raise ValueError(
-                f"outlay decreases between {d_prev} and {d_next}; "
+                f"outlay decreases between {Money(d_prev)} and {Money(d_next)}; "
                 "the search requires a monotone credit rule"
             )
 
@@ -208,44 +106,40 @@ def optimal_deduction(ctx: PtcContext) -> Solution:
     Households that cannot reach the eligibility floor even with no
     deduction (below the poverty line, absent the exception) cannot take
     the credit, so they simply deduct the full billed balance.  Everyone
-    else gets the certified search, over [0, Q - APTC].
+    else gets the certified search, over [0, Q - APTC]: on cents, or in
+    dollar mode on whole-dollar midpoints with a $1 stopping width, which
+    reproduces the worked traces.
     """
     sc = ctx.scenario
-    upper = search_domain_upper(ctx)
-    if upper < Money(0):
-        return _ineligible_solution(ctx)
+    upper = search_domain_upper(ctx).cents
+    threshold = sc.purchased_premium.cents
     credit = credit_cents_fn(ctx)
 
-    def outlay(d: Money) -> Money:
-        return d + Money(credit(d.cents))
+    def outlay(dc: int) -> int:
+        return dc + credit(dc)
 
-    _assert_monotone_spot_check(outlay, upper)
-    threshold = sc.purchased_premium
-    if outlay(upper) <= threshold:
-        solution_d, trace = upper, ()
-        method = SolveMethod.BOUNDARY_B0
+    if upper < 0:
+        d, trace, method = sc.billed_balance.cents, (), SolveMethod.INELIGIBLE_FULL_DEDUCTION
     else:
-        tolerance, midpoint_rounding = _search_params(ctx.rounding)
-        problem = ThresholdProblem(
-            fn=outlay,
-            lo=Money(0),
-            hi=upper,
-            threshold=threshold,
-            tolerance=tolerance,
-            midpoint_rounding=midpoint_rounding,
-        )
-        # threshold_search cannot raise InfeasibleAtLowerBound here: the
-        # kernel clamps the credit at Q, so g(0) = credit(0) <= Q.
-        solution_d, trace = threshold_search(problem)
-        method = SolveMethod.BISECTION
+        _assert_monotone_spot_check(outlay, upper)
+        # last_true cannot raise InfeasibleAtLowerBound here: the kernel
+        # clamps the credit at Q, so g(0) = credit(0) <= Q.
+        step = 100 if ctx.rounding is RoundingMode.DOLLAR else 1
+        d, trace = last_true(lambda dc: outlay(dc) <= threshold, 0, upper, step)
+        method = SolveMethod.BISECTION if trace else SolveMethod.BOUNDARY_B0
 
-    ptc = Money(credit(solution_d.cents))
+    above = d + 100
+    certificate = Certificate(
+        value_at=Money(outlay(d)),
+        value_above=Money(outlay(above)) if above <= upper else None,
+        threshold=sc.purchased_premium,
+    )
     return Solution(
-        deduction=solution_d,
-        ptc=ptc,
+        deduction=Money(d),
+        ptc=Money(credit(d)),
         method=method,
-        certificate=_certificate(ctx, solution_d, upper),
-        trace=trace,
+        certificate=certificate,
+        trace=tuple((Money(a), Money(b)) for a, b in trace),
         iterations=max(0, len(trace) - 1),
     )
 

@@ -60,7 +60,12 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         raise _CliError("no scenario given: pass a scenario file or --set flags", EXIT_BAD_SCENARIO)
     try:
         return parse_scenario(source, overrides)
-    except (DocumentError, OSError) as exc:
+    except DocumentError as exc:
+        message = f"invalid scenario: {exc}"
+        if exc.line is None and exc.key in overrides:  # no line number: an override
+            message += f" from --set {exc.key}={overrides[exc.key]}"
+        raise _CliError(message, EXIT_BAD_SCENARIO) from None
+    except OSError as exc:
         raise _CliError(f"invalid scenario: {exc}", EXIT_BAD_SCENARIO) from None
 
 

@@ -34,6 +34,7 @@ from .figures import BREAKPOINTS, applicable_figure, cent_cuts
 from .money import Money, RoundingMode, div_half_away, money_ratio, round_money
 from .params import TaxYearParams
 from .scenario import Scenario
+from .search import InfeasibleAtLowerBound, last_true
 
 # Student-loan interest phase-out window (cents) and its width.
 _SL_FLOOR_C = 70_000 * 100
@@ -92,6 +93,21 @@ def chained_household_income(ctx: PtcContext, deduction: Money) -> Money:
     return magi - student_loan_deduction(cap, magi)
 
 
+def chained_income_cents(magi_c: int, sl_cap_c: int) -> int:
+    """Integer-cents twin of :func:`chained_household_income` with a cap.
+
+    ``magi_c`` is household income before the student-loan deduction and
+    ``sl_cap_c`` the cap, both in cents; the phase-out share is rounded
+    half away from zero at the cent, as :func:`student_loan_deduction`
+    rounds it.  The credit kernel and the eligibility cutoff share it.
+    """
+    if magi_c <= _SL_FLOOR_C:
+        return magi_c - sl_cap_c
+    if magi_c >= _SL_CEIL_C:
+        return magi_c
+    return magi_c - div_half_away(sl_cap_c * (_SL_CEIL_C - magi_c), _SL_WIDTH_C)
+
+
 def max_deduction_for_income_floor(ctx: PtcContext, floor: Money) -> Money:
     """Largest deduction (capped at the billed balance) keeping chained
     household income at or above ``floor``.
@@ -102,21 +118,21 @@ def max_deduction_for_income_floor(ctx: PtcContext, floor: Money) -> Money:
     income grounds alone).
     """
     sc = ctx.scenario
-    billed = sc.billed_balance
+    billed_c = sc.billed_balance.cents
+    base_c = sc.effective_income.cents
+    floor_c = floor.cents
     if sc.student_loan_cap is None:
-        return min(billed, sc.effective_income - floor)
-    if chained_household_income(ctx, Money(0)) < floor:
+        return Money(min(billed_c, base_c - floor_c))
+    cap_c = sc.student_loan_cap.cents
+
+    def reaches_floor(dc: int) -> bool:
+        return chained_income_cents(base_c - dc, cap_c) >= floor_c
+
+    try:
+        cutoff, _ = last_true(reaches_floor, 0, billed_c, 1)
+    except InfeasibleAtLowerBound:
         return Money(-1)
-    if chained_household_income(ctx, billed) >= floor:
-        return billed
-    lo, hi = 0, billed.cents  # income(lo) >= floor > income(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if chained_household_income(ctx, Money(mid)) >= floor:
-            lo = mid
-        else:
-            hi = mid
-    return Money(lo)
+    return Money(cutoff)
 
 
 def expected_contribution(income: Money, figure: Fraction, rounding: RoundingMode) -> Money:
@@ -182,12 +198,7 @@ def _credit_cents_fn_cached(ctx: PtcContext) -> Callable[[int], int]:
     rows = [(a * fc, b, den * fc * unit) for a, b, den in ctx.params.figure_table.integer_segments]
 
     def credit_cents(dc: int) -> int:
-        mc = base - dc
-        if sl_cap_c is not None:
-            if mc <= _SL_FLOOR_C:
-                mc -= sl_cap_c
-            elif mc < _SL_CEIL_C:
-                mc -= div_half_away(sl_cap_c * (_SL_CEIL_C - mc), _SL_WIDTH_C)
+        mc = base - dc if sl_cap_c is None else chained_income_cents(base - dc, sl_cap_c)
         if mc > high_c or mc < low_c:
             return 0
         a, b, den = rows[bisect_right(inner, mc)]

@@ -95,7 +95,7 @@ _FIELD_KEYS = (
 _REQUIRED_KEYS = ("F", "P", "Q", "I", "tax_year")
 
 
-def _parse_bool(key: str, raw: str, line: int) -> bool:
+def _parse_bool(key: str, raw: str, line: int | None) -> bool:
     lowered = raw.lower()
     if lowered in ("true", "yes", "1"):
         return True
@@ -116,11 +116,12 @@ def parse_scenario(
 
     ``overrides`` maps document keys (``F``, ``I``, ...) to raw values and
     wins over the document, which lets one file act as a sweep template.
-    Raises :class:`DocumentError` naming the offending key and line.
+    Raises :class:`DocumentError` naming the offending key and, for a
+    document entry, its line; an override has no line (``line`` is None).
     """
-    entries = dict(read_kv(source)) if source is not None else {}
+    entries: dict[str, tuple[str, int | None]] = dict(read_kv(source)) if source is not None else {}
     for key, value in (overrides or {}).items():
-        entries[key] = (value, 0)
+        entries[key] = (value, None)
 
     for key in entries:
         if key not in _FIELD_KEYS:

@@ -2,21 +2,26 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptcsolver import (
+    BREAKPOINTS,
     InfeasibleAtLowerBound,
     PtcContext,
     RoundingMode,
     Scenario,
     SolveMethod,
-    ThresholdProblem,
+    applicable_figure,
     brute_force_max_feasible,
+    last_true,
     liminf_deduction,
     optimal_deduction,
     run_iteration,
-    threshold_search,
+    tax_year_params,
     whole_dollar_view,
 )
 from ptcsolver.iteration import IterationStatus
@@ -26,66 +31,62 @@ from ptcsolver.ptc import credit_cents_fn
 D = Money.from_dollars
 
 
-def test_threshold_search_identity():
-    problem = ThresholdProblem(
-        fn=lambda d: d,
-        lo=D(0),
-        hi=D(100),
-        threshold=D(60),
-        tolerance=Money(1),
-        midpoint_rounding=RoundingMode.CENT,
-    )
-    found, trace = threshold_search(problem)
-    assert abs(found - D(60)) <= Money(1)
-    assert found <= D(60)
+def test_last_true_identity():
+    found, trace = last_true(lambda c: c <= 6000, 0, 10000, 1)
+    assert found == 6000  # exact on the cent lattice
     assert trace
 
 
-def test_threshold_search_all_feasible_returns_hi():
-    problem = ThresholdProblem(fn=lambda d: d, lo=D(0), hi=D(50), threshold=D(60))
-    found, trace = threshold_search(problem)
-    assert found == D(50)
+def test_last_true_all_true_returns_hi():
+    found, trace = last_true(lambda c: c <= 6000, 0, 5000, 1)
+    assert found == 5000
     assert trace == ()
 
 
-def test_threshold_search_precondition():
-    problem = ThresholdProblem(fn=lambda d: d + D(100), lo=D(0), hi=D(50), threshold=D(60))
+def test_last_true_precondition():
     with pytest.raises(InfeasibleAtLowerBound):
-        threshold_search(problem)
+        last_true(lambda c: c + 10000 <= 6000, 0, 5000, 1)
 
 
-def jump_fn(d: Money) -> Money:
+@pytest.mark.parametrize("lo,hi,step", [(1, 0, 1), (0, 100, 0), (0, 100, 50)])
+def test_last_true_rejects_bad_arguments(lo, hi, step):
+    with pytest.raises(ValueError):
+        last_true(lambda c: True, lo, hi, step)
+
+
+def jump_fn(c: int) -> int:
     # Monotone and left-discontinuous from the right: a $10 jump at $50.
-    return d if d < D(50) else d + D(10)
+    return c if c < 5000 else c + 1000
 
 
-def test_threshold_search_jump_function():
+def test_last_true_jump_function():
     # Independent oracle: exhaustive cent-lattice scan for the largest
     # point with value <= $55.
-    oracle = max(
-        Money(c) for c in range(0, 10001) if jump_fn(Money(c)) <= D(55)
-    )
-    assert oracle == D(50) - Money(1)
-    problem = ThresholdProblem(
-        fn=jump_fn, lo=D(0), hi=D(100), threshold=D(55), tolerance=Money(1)
-    )
-    found, _ = threshold_search(problem)
-    assert jump_fn(found) <= D(55)
-    assert abs(found - oracle) <= Money(1)
+    oracle = max(c for c in range(0, 10001) if jump_fn(c) <= 5500)
+    assert oracle == 5000 - 1
+    found, _ = last_true(lambda c: jump_fn(c) <= 5500, 0, 10000, 1)
+    assert jump_fn(found) <= 5500
+    assert found == oracle
 
 
-def test_threshold_search_trace_contracts():
-    problem = ThresholdProblem(
-        fn=jump_fn, lo=D(0), hi=D(100), threshold=D(55), tolerance=Money(1)
-    )
-    _, trace = threshold_search(problem)
+def test_last_true_trace_contracts():
+    _, trace = last_true(lambda c: jump_fn(c) <= 5500, 0, 10000, 1)
     for (a1, b1), (a2, b2) in zip(trace, trace[1:]):
         assert a1 <= a2 <= b2 <= b1  # nesting
-        assert (b2 - a2).cents <= (b1 - a1).cents // 2 + 1  # halving, up to rounding
+        assert b2 - a2 <= (b1 - a1) // 2 + 1  # halving, up to rounding
     a_values = [a for a, _ in trace]
     assert a_values == sorted(a_values)
-    bound = math.ceil(math.log2((D(100) - D(0)).cents / problem.tolerance.cents)) + 2
+    bound = math.ceil(math.log2(10000 / 1)) + 2
     assert len(trace) - 1 <= bound
+
+
+def test_last_true_dollar_step():
+    # Whole-dollar midpoints (ties away from zero) and a $1 stopping width.
+    found, trace = last_true(lambda c: c <= 6050, 0, 10000, 100)
+    assert found <= 6050 < found + 100
+    assert trace[:3] == ((0, 10000), (5000, 10000), (5000, 7500))
+    assert all(a % 100 == 0 and b % 100 == 0 for a, b in trace)
+    assert trace[-1][1] - trace[-1][0] <= 100
 
 
 def test_brooklyn_paper_mode(brooklyn_dollar_ctx):
@@ -275,3 +276,45 @@ def test_solution_dominates_iteration_outcomes(params_2018):
         if outcome.status is IterationStatus.BUDGET_EXHAUSTED:
             continue
         assert solution.deduction >= liminf_deduction(outcome) - D(1)
+
+
+@st.composite
+def _small_premium_scenarios(draw) -> Scenario:
+    # Q at $3,000 or less keeps the cent-lattice oracle short.  Income sits
+    # near a breakpoint multiple of the poverty line or inside the
+    # student-loan phase-out window, where the credit jumps or bends, and
+    # the benchmark premium near the expected contribution there, so the
+    # credit is neither always zero nor always Q.
+    year = draw(st.sampled_from(["2018", "2019"]))
+    f = draw(st.integers(1_200_000, 5_000_000))
+    q = draw(st.integers(100, 300_000))
+    d0 = draw(st.sampled_from([0, 0, 50_001]))
+    if draw(st.booleans()):
+        anchor = math.ceil(draw(st.sampled_from(BREAKPOINTS)) * f)
+    else:
+        anchor = draw(st.integers(7_000_000, 8_500_000))
+    multiple = min(Fraction(anchor, f), BREAKPOINTS[-1])
+    contribution = math.ceil(applicable_figure(multiple, tax_year_params(year).figure_table) * anchor)
+    return Scenario(
+        poverty_line=Money(f),
+        benchmark_premium=Money(max(100, contribution + draw(st.integers(-q // 2, 2 * q)))),
+        purchased_premium=Money(q),
+        income=Money(max(q, anchor + d0 + draw(st.integers(-q, q)))),
+        tax_year=year,
+        advance_credit=Money(draw(st.sampled_from([0, 0, q // 3, q]))),
+        other_deductions=Money(d0),
+        below_poverty_exception=draw(st.booleans()),
+        student_loan_cap=draw(st.sampled_from([None, Money(250_001), Money(99_997)])),
+    )
+
+
+@given(sc=_small_premium_scenarios(), mode=st.sampled_from(list(RoundingMode)))
+@settings(derandomize=True, deadline=None, max_examples=200)
+def test_solution_matches_lattice_oracle_over_option_space(sc, mode):
+    ctx = PtcContext(sc, tax_year_params(sc.tax_year), mode)
+    solution = optimal_deduction(ctx)
+    assert solution.certificate.holds()
+    if mode is RoundingMode.CENT:
+        assert solution.deduction == brute_force_max_feasible(ctx, Money(1))
+    else:
+        assert abs(solution.deduction - brute_force_max_feasible(ctx, Money(100))) <= D(1)

@@ -99,6 +99,17 @@ def test_malformed_thousands_exit_2(brooklyn_file, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("override", ["P=10390,50", "Z=1", "below_poverty_exception=maybe"])
+def test_set_errors_name_the_flag(brooklyn_file, capsys, override):
+    # An override has no line in any file, so the error names --set instead.
+    code = main(["solve", brooklyn_file, "--set", override])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line" not in err
+    assert f"--set {override}" in err
+    assert err.count("\n") == 1
+
+
 def test_missing_scenario_exit_2(capsys):
     assert main(["solve"]) == 2
     assert main(["solve", "--set", "F"]) == 2

@@ -22,8 +22,10 @@ from ptcsolver import (
     tax_year_params,
 )
 from ptcsolver.params import RepaymentTable, TaxYearParams
-from ptcsolver.money import Money
+from ptcsolver.money import Money, div_half_away
 from ptcsolver.ptc import (
+    chained_household_income,
+    chained_income_cents,
     credit_cents_fn,
     max_deduction_for_income_floor,
     ptc_of_deduction_reference,
@@ -168,6 +170,40 @@ def test_chained_mode_never_decreases_credit(params_2019):
     values = [credit(dc) for dc in range(0, sc.billed_balance.cents + 1, 100)]
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert values[-1] > 0
+
+
+@pytest.mark.parametrize("cap_c", [1, 99_997, 249_997, 250_001])
+def test_kernel_chained_income_matches_reference(params_2018, cap_c):
+    # The kernel's student-loan phase-out in integer cents against the
+    # Money/Fraction composition, with odd-cent caps: on both phase-out
+    # ends and one cent either side, at the exact tie (share ending in
+    # half a cent) and where rounding the share half away from zero and
+    # flooring it differ.  Caps prime to the window width hit the tie.
+    floor_c, ceil_c = 70_000 * 100, 85_000 * 100
+    width = ceil_c - floor_c
+    tie = ceil_c - pow(cap_c, -1, width) * (width // 2) % width
+    magis = [floor_c - 1, floor_c, floor_c + 1, ceil_c - 1, ceil_c, ceil_c + 1, tie]
+    magis += [*range(floor_c + 1, floor_c + 400), *range(ceil_c - 400, ceil_c)]
+    sc = Scenario(
+        poverty_line=Money(2_500_001),
+        benchmark_premium=D(16000),
+        purchased_premium=D(16000),
+        income=Money(ceil_c + 1_334),  # every deduction below stays in [0, Q]
+        other_deductions=Money(1_234),
+        tax_year="2018",
+        student_loan_cap=Money(cap_c),
+    )
+    ctx = PtcContext(sc, params_2018)
+    rounded_up = 0
+    for magi in magis:
+        d = sc.effective_income - Money(magi)
+        assert chained_income_cents(magi, cap_c) == chained_household_income(ctx, d).cents, magi
+        assert ptc_of_deduction(ctx, d) == ptc_of_deduction_reference(ctx, d), magi
+        if floor_c < magi < ceil_c:
+            share = cap_c * (ceil_c - magi)
+            rounded_up += div_half_away(share, width) != share // width
+    assert (cap_c * (ceil_c - tie)) % width == width // 2
+    assert rounded_up > 0
 
 
 def _random_scenario(rng: random.Random) -> Scenario:
