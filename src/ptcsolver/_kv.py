@@ -32,13 +32,21 @@ def read_kv(source: str | Path | IO[str]) -> dict[str, tuple[str, int]]:
     A ``str`` is always the document text itself.  A file is passed as a
     :class:`~pathlib.Path` or as an open text file, so a file name given
     as a ``str`` is parsed as text and fails with :class:`DocumentError`.
+    A file whose bytes do not decode fails with :class:`DocumentError`
+    naming the byte offset and line of the first undecodable byte.
     """
-    if isinstance(source, str):
-        text = source
-    elif isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    else:
-        text = source.read()
+    try:
+        if isinstance(source, str):
+            text = source
+        elif isinstance(source, Path):
+            text = source.read_text(encoding="utf-8")
+        else:
+            text = source.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(
+            f"not {exc.encoding} text at byte offset {exc.start}: {exc.reason}",
+            line=exc.object.count(b"\n", 0, exc.start) + 1,
+        ) from None
 
     entries: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -19,7 +19,7 @@ from .bisection import optimal_deduction, search_domain_upper
 from .iteration import IterationStatus, run_iteration, simplified_method
 from .money import Money, RoundingMode, round_cents
 from .params import TaxYearParams
-from .ptc import PtcContext, credit_cents_fn
+from .ptc import PtcContext
 from .scenario import Scenario
 from .search import last_true
 
@@ -68,7 +68,7 @@ def brute_force_max_feasible(ctx: PtcContext, step: Money = Money(100)) -> Money
     upper = search_domain_upper(ctx)
     if upper < Money(0):
         upper = sc.billed_balance
-    credit = credit_cents_fn(ctx)
+    credit = ctx.credit_cents
     threshold_c = sc.purchased_premium.cents
     upper_c, step_c = upper.cents, step.cents
 

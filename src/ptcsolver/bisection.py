@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Callable
 
 from .money import Money, RoundingMode
-from .ptc import PtcContext, credit_cents_fn, max_deduction_for_income_floor
+from .ptc import PtcContext, max_deduction_for_income_floor
 from .search import last_true
 
 
@@ -113,7 +113,7 @@ def optimal_deduction(ctx: PtcContext) -> Solution:
     sc = ctx.scenario
     upper = search_domain_upper(ctx).cents
     threshold = sc.purchased_premium.cents
-    credit = credit_cents_fn(ctx)
+    credit = ctx.credit_cents
 
     def outlay(dc: int) -> int:
         return dc + credit(dc)
@@ -152,5 +152,5 @@ def whole_dollar_view(ctx: PtcContext, solution: Solution) -> tuple[Money, Money
     credit.  The cent-precise values remain in the solution itself.
     """
     floored = Money((solution.deduction.cents // 100) * 100)
-    ptc = Money(credit_cents_fn(ctx)(floored.cents))
+    ptc = Money(ctx.credit_cents(floored.cents))
     return floored, ptc

@@ -276,7 +276,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     else:
         rows.append((f"iterative ({outcome.status.value})", "-", "-"))
     rows.append(("simplified", str(d2), str(c3)))
-    rows.append(("liminf extension", str(d0) if d0 else "-", str(d0_ptc) if d0_ptc is not None else "-"))
+    rows.append(("liminf extension", str(d0) if d0 is not None else "-", str(d0_ptc) if d0_ptc is not None else "-"))
     rows.append(("bisection", str(solution.deduction), str(solution.ptc)))
     rows.append(("oracle ($1 lattice)", str(oracle_d), ""))
     widths = [max(len(r[i]) for r in rows) for i in range(3)]

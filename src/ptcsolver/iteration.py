@@ -22,7 +22,7 @@ from enum import Enum
 
 from .bisection import search_domain_upper
 from .money import Money, round_cents
-from .ptc import PtcContext, credit_cents_fn
+from .ptc import PtcContext
 
 
 class IterationStatus(Enum):
@@ -90,7 +90,7 @@ def step(ctx: PtcContext, point: IterationPoint) -> IterationPoint:
     Both coordinates are rounded per the context's mode after the step.
     """
     billed_c = ctx.scenario.billed_balance.cents
-    credit_c = round_cents(credit_cents_fn(ctx)(point.deduction.cents), ctx.rounding)
+    credit_c = round_cents(ctx.credit_cents(point.deduction.cents), ctx.rounding)
     deduction_c = round_cents(billed_c - credit_c, ctx.rounding)
     return IterationPoint(Money(credit_c), Money(deduction_c), point.index + 1)
 

@@ -75,10 +75,6 @@ class Money:
     def dollars(self) -> Fraction:
         return Fraction(self.cents, 100)
 
-    def scaled(self, ratio: Fraction, mode: RoundingMode) -> "Money":
-        """Multiply by an exact ratio, then round per ``mode``."""
-        return round_money(self.dollars * ratio, mode)
-
     def __add__(self, other: "Money") -> "Money":
         return Money(self.cents + other.cents)
 
@@ -111,11 +107,6 @@ class Money:
         sign = "-" if self.cents < 0 else ""
         whole, frac = divmod(abs(self.cents), 100)
         return f"{sign}${whole:,}.{frac:02d}"
-
-
-ZERO = Money(0)
-ONE_CENT = Money(1)
-ONE_DOLLAR = Money(100)
 
 
 def round_money(dollars: Fraction, mode: RoundingMode) -> Money:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable
 
 from .figures import BREAKPOINTS, applicable_figure, cent_cuts
@@ -55,6 +55,48 @@ class PtcContext:
     scenario: Scenario
     params: TaxYearParams
     rounding: RoundingMode = RoundingMode.CENT
+
+    @cached_property
+    def credit_cents(self) -> Callable[[int], int]:
+        """The scenario bound into a cents-level credit evaluator.
+
+        A function mapping a deduction in cents to the credit in cents,
+        used by the iteration, the bisection search and the brute-force
+        oracle; it is built on first access and kept on this context.  It
+        reads the figure from the integer form of the curve's segment
+        table and avoids per-call object construction, which matters when
+        scanning millions of lattice points; the test suite holds it
+        exactly equal to :func:`ptc_of_deduction_reference`.
+        """
+        sc = self.scenario
+        fc = sc.poverty_line.cents
+        pc = sc.benchmark_premium.cents
+        qc = sc.purchased_premium.cents
+        base = sc.effective_income.cents
+        dollar_mode = self.rounding is RoundingMode.DOLLAR
+        unit = 100 if dollar_mode else 1
+        sl_cap_c = None if sc.student_loan_cap is None else sc.student_loan_cap.cents
+        # The outer cuts F and 4F are whole cents, so they bound the eligible
+        # range exactly; the interior ones pick the segment row.
+        low_c, *inner, high_c = cent_cuts(fc)
+        if sc.below_poverty_exception:
+            low_c = 0
+        # On a row, figure * M = (a*F + b*M) * M / (den*F): contribution in units.
+        rows = [(a * fc, b, den * fc * unit) for a, b, den in self.params.figure_table.integer_segments]
+
+        def credit_cents(dc: int) -> int:
+            mc = base - dc if sl_cap_c is None else chained_income_cents(base - dc, sl_cap_c)
+            if mc > high_c or mc < low_c:
+                return 0
+            a, b, den = rows[bisect_right(inner, mc)]
+            diff = pc - unit * div_half_away((a + b * mc) * mc, den)
+            if dollar_mode:
+                diff = 100 * div_half_away(diff, 100)
+            if diff <= 0:
+                return 0
+            return diff if diff < qc else qc
+
+        return credit_cents
 
 
 def household_income(ctx: PtcContext, deduction: Money) -> Money:
@@ -141,7 +183,7 @@ def expected_contribution(income: Money, figure: Fraction, rounding: RoundingMod
         raise ValueError(f"income must be non-negative, got {income}")
     if not 0 < figure < Fraction(1, 10):
         raise ValueError(f"figure must lie in (0, 0.1), got {figure}")
-    return income.scaled(figure, rounding)
+    return round_money(income.dollars * figure, rounding)
 
 
 def ptc_base(ctx: PtcContext, income: Money) -> Money:
@@ -166,52 +208,6 @@ def ptc_base(ctx: PtcContext, income: Money) -> Money:
     return min(sc.purchased_premium, max(Money(0), remainder))
 
 
-def credit_cents_fn(ctx: PtcContext) -> Callable[[int], int]:
-    """Bind the scenario into a cents-level credit evaluator.
-
-    Returns a function mapping a deduction in cents to the credit in
-    cents, used by the iteration, the bisection search and the
-    brute-force oracle.  It reads the figure from the integer form of the
-    curve's segment table and avoids per-call object construction, which
-    matters when scanning millions of lattice points; the test suite holds
-    it exactly equal to :func:`ptc_of_deduction_reference`.
-    """
-    return _credit_cents_fn_cached(ctx)
-
-
-@lru_cache(maxsize=128)
-def _credit_cents_fn_cached(ctx: PtcContext) -> Callable[[int], int]:
-    sc = ctx.scenario
-    fc = sc.poverty_line.cents
-    pc = sc.benchmark_premium.cents
-    qc = sc.purchased_premium.cents
-    base = sc.effective_income.cents
-    dollar_mode = ctx.rounding is RoundingMode.DOLLAR
-    unit = 100 if dollar_mode else 1
-    sl_cap_c = None if sc.student_loan_cap is None else sc.student_loan_cap.cents
-    # The outer cuts F and 4F are whole cents, so they bound the eligible
-    # range exactly; the interior ones pick the segment row.
-    low_c, *inner, high_c = cent_cuts(fc)
-    if sc.below_poverty_exception:
-        low_c = 0
-    # On a row, figure * M = (a*F + b*M) * M / (den*F): contribution in units.
-    rows = [(a * fc, b, den * fc * unit) for a, b, den in ctx.params.figure_table.integer_segments]
-
-    def credit_cents(dc: int) -> int:
-        mc = base - dc if sl_cap_c is None else chained_income_cents(base - dc, sl_cap_c)
-        if mc > high_c or mc < low_c:
-            return 0
-        a, b, den = rows[bisect_right(inner, mc)]
-        diff = pc - unit * div_half_away((a + b * mc) * mc, den)
-        if dollar_mode:
-            diff = 100 * div_half_away(diff, 100)
-        if diff <= 0:
-            return 0
-        return diff if diff < qc else qc
-
-    return credit_cents
-
-
 def ptc_of_deduction(ctx: PtcContext, deduction: Money) -> Money:
     """The extended credit-of-deduction function.
 
@@ -224,7 +220,7 @@ def ptc_of_deduction(ctx: PtcContext, deduction: Money) -> Money:
             f"deduction {deduction} outside [0, {ctx.scenario.billed_balance}] "
             "(the billed balance Q - APTC)"
         )
-    return Money(credit_cents_fn(ctx)(deduction.cents))
+    return Money(ctx.credit_cents(deduction.cents))
 
 
 def ptc_of_deduction_reference(ctx: PtcContext, deduction: Money) -> Money:

@@ -34,7 +34,6 @@ from ptcsolver.cli import main as cli_main
 from ptcsolver.iteration import IterationStatus
 from ptcsolver.money import Money
 from ptcsolver.params import RepaymentTable, TaxYearParams
-from ptcsolver.ptc import credit_cents_fn
 from ptcsolver.reconcile import UNLIMITED
 
 D = Money.from_dollars
@@ -197,7 +196,7 @@ def test_criterion_07_monotonicity_continuity():
     for _ in range(200):
         sc = _random_scenario(rng)
         ctx = PtcContext(sc, params)
-        credit = credit_cents_fn(ctx)
+        credit = ctx.credit_cents
         upper = search_domain_upper(ctx)
         if upper < Money(0):
             continue

@@ -26,7 +26,6 @@ from ptcsolver import (
 )
 from ptcsolver.iteration import IterationStatus
 from ptcsolver.money import Money
-from ptcsolver.ptc import credit_cents_fn
 
 D = Money.from_dollars
 
@@ -209,7 +208,7 @@ def test_aptc_leaves_unconstrained_optimum_alone(brooklyn, params_2018):
 
 def test_certificate_values_recomputed(brooklyn_cent_ctx):
     solution = optimal_deduction(brooklyn_cent_ctx)
-    credit = credit_cents_fn(brooklyn_cent_ctx)
+    credit = brooklyn_cent_ctx.credit_cents
     d = solution.deduction
     assert solution.certificate.value_at == d + Money(credit(d.cents))
     above = d + D(1)
@@ -234,7 +233,7 @@ def test_whole_dollar_view(brooklyn_cent_ctx):
     d, ptc = whole_dollar_view(brooklyn_cent_ctx, solution)
     assert d.cents % 100 == 0
     assert d <= solution.deduction < d + D(1)
-    credit = credit_cents_fn(brooklyn_cent_ctx)
+    credit = brooklyn_cent_ctx.credit_cents
     assert d + Money(credit(d.cents)) <= D(10390)
     assert ptc == Money(credit(d.cents))
 

@@ -110,6 +110,30 @@ def test_set_errors_name_the_flag(brooklyn_file, capsys, override):
     assert err.count("\n") == 1
 
 
+def test_undecodable_scenario_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.scenario"
+    path.write_bytes(b"F = 16240\nP = 10390\xff\n")
+    code = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid scenario: ")
+    assert "byte offset 19" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_undecodable_params_file_exit_3(brooklyn_file, tmp_path, capsys):
+    path = tmp_path / "bad.params"
+    path.write_bytes(b"schema_version = 1\nyear = 2018\xff\n")
+    code = main(["solve", brooklyn_file, "--params", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad parameter file: ")
+    assert "byte offset 30" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_scenario_exit_2(capsys):
     assert main(["solve"]) == 2
     assert main(["solve", "--set", "F"]) == 2
@@ -206,6 +230,18 @@ def test_compare_all_methods_agree_when_convergent(brooklyn_file, capsys):
     ]
     cents = [round(float(v) * 100) for v in d_values]
     assert max(cents) - min(cents) <= 100 + 1  # all within about $1
+
+
+def test_compare_zero_liminf_row(brooklyn_file, capsys):
+    # An advance credit of the whole premium leaves a $0.00 liminf deduction,
+    # which is a value, not a missing one.
+    argv = ["compare", brooklyn_file, "--set", "APTC=10390"]
+    assert main([*argv, "--json"]) == 0
+    liminf = json.loads(capsys.readouterr().out)["liminf"]
+    assert main(argv) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("liminf"))
+    assert liminf == {"d": "0.00", "ptc": "0.00"}
+    assert row.split()[2:] == [f"${liminf['d']}", f"${liminf['ptc']}"]
 
 
 def test_scan_stdout_and_summary(brooklyn_file, capsys):

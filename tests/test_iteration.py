@@ -17,7 +17,6 @@ from ptcsolver import (
 )
 from ptcsolver.iteration import default_start, sup_gap
 from ptcsolver.money import Money
-from ptcsolver.ptc import credit_cents_fn
 
 D = Money.from_dollars
 
@@ -99,7 +98,7 @@ def test_convergent_brooklyn_variant(brooklyn, params_2018):
     settled = outcome.settled
     assert settled is not None
     # The settled point nearly attains the constraint with equality.
-    credit = credit_cents_fn(ctx)
+    credit = ctx.credit_cents
     residual = abs(settled.deduction.cents + credit(settled.deduction.cents) - 1039000)
     assert residual < 100
     # Fixed-point consistency: one more application moves it less than $1.
@@ -144,7 +143,7 @@ def test_simplified_method_credit_zero(params_2018):
 def test_simplified_method_convergent_case(brooklyn, params_2018):
     ctx = PtcContext(brooklyn.with_income(D(50000)), params_2018)
     d2, c3 = simplified_method(ctx)
-    credit = credit_cents_fn(ctx)
+    credit = ctx.credit_cents
     assert c3 == Money(credit(d2.cents))
 
 

@@ -129,3 +129,11 @@ def test_file_name_as_str_is_read_as_text(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(DocumentError):
         load_tax_year_params(name)
+
+
+def test_undecodable_file_names_the_byte(tmp_path):
+    path = tmp_path / "bad.params"
+    path.write_bytes(GOOD_DOC.encode() + b"# caf\xe9\n")
+    with pytest.raises(DocumentError, match=f"byte offset {len(GOOD_DOC) + 5}") as err:
+        load_tax_year_params(path)
+    assert err.value.line == 12

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -26,7 +27,6 @@ from ptcsolver.money import Money, div_half_away
 from ptcsolver.ptc import (
     chained_household_income,
     chained_income_cents,
-    credit_cents_fn,
     max_deduction_for_income_floor,
     ptc_of_deduction_reference,
 )
@@ -166,7 +166,7 @@ def test_chained_mode_never_decreases_credit(params_2019):
         student_loan_cap=D(2500),
     )
     ctx = PtcContext(sc, params_2019)
-    credit = credit_cents_fn(ctx)
+    credit = ctx.credit_cents
     values = [credit(dc) for dc in range(0, sc.billed_balance.cents + 1, 100)]
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert values[-1] > 0
@@ -266,6 +266,24 @@ def test_kernel_matches_reference_brooklyn(brooklyn, dc):
         assert ptc_of_deduction(ctx, Money(dc)) == ptc_of_deduction_reference(ctx, Money(dc))
 
 
+def test_replaced_context_builds_its_own_kernel(brooklyn_cent_ctx):
+    # A $6,208.37 deduction credits $4,181.58 by the cent, $4,182 by the dollar.
+    dc = 620837
+    assert brooklyn_cent_ctx.credit_cents(dc) == 418158
+    dollar_ctx = dataclasses.replace(brooklyn_cent_ctx, rounding=RoundingMode.DOLLAR)
+    assert dollar_ctx.credit_cents(dc) == 418200
+    assert brooklyn_cent_ctx.credit_cents(dc) == 418158
+
+
+def test_built_kernel_keeps_equality_and_hash(brooklyn, params_2018):
+    built = PtcContext(brooklyn, params_2018)
+    assert built.credit_cents is built.credit_cents
+    fresh = PtcContext(brooklyn, params_2018)
+    assert built == fresh
+    assert hash(built) == hash(fresh)
+    assert repr(built) == repr(fresh)
+
+
 def test_credit_capped_by_purchased_premium(params_2018):
     sc = Scenario(
         poverty_line=D(16240),
@@ -280,7 +298,7 @@ def test_credit_capped_by_purchased_premium(params_2018):
 
 
 def test_monotone_in_deduction_where_eligible(brooklyn_cent_ctx):
-    credit = credit_cents_fn(brooklyn_cent_ctx)
+    credit = brooklyn_cent_ctx.credit_cents
     upper = (71150 - 16240) * 100  # stay at or above the poverty line
     upper = min(upper, 10390 * 100)
     values = [credit(dc) for dc in range(0, upper + 1, 100)]

@@ -174,14 +174,13 @@ def test_optimality_is_reconciliation_stable(params_2019):
     # kept benefit replaces the raw credit (the kept benefit is at least
     # the credit): checked by a $1-step scan on small scenarios.
     from ptcsolver.bisection import search_domain_upper
-    from ptcsolver.ptc import credit_cents_fn
 
     rng = random.Random(99)
     for _ in range(25):
         sc = _random_aptc_scenario(rng)
         ctx = PtcContext(sc, params_2019)
         solution = optimal_deduction(ctx)
-        credit = credit_cents_fn(ctx)
+        credit = ctx.credit_cents
         upper = search_domain_upper(ctx).cents
         start = solution.deduction.cents + 100
         for dc in range(start, min(upper, start + 5000) + 1, 100):

@@ -118,3 +118,13 @@ def test_file_name_as_str_is_read_as_text(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(DocumentError):
         parse_scenario(name)
+
+
+def test_undecodable_file_names_the_byte(tmp_path):
+    path = tmp_path / "bad.scenario"
+    path.write_bytes(b"F = 16240\nP = 10390\xff\n")
+    with pytest.raises(DocumentError, match="byte offset 19") as err:
+        parse_scenario(path)
+    assert err.value.line == 2
+    with path.open(encoding="utf-8") as stream, pytest.raises(DocumentError, match="byte offset 19"):
+        parse_scenario(stream)
