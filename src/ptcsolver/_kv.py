@@ -33,7 +33,8 @@ def read_kv(source: str | Path | IO[str]) -> dict[str, tuple[str, int]]:
     :class:`~pathlib.Path` or as an open text file, so a file name given
     as a ``str`` is parsed as text and fails with :class:`DocumentError`.
     A file whose bytes do not decode fails with :class:`DocumentError`
-    naming the byte offset and line of the first undecodable byte.
+    naming the byte offset and line of the first undecodable byte.  One
+    leading byte-order mark, as some editors save UTF-8, is dropped.
     """
     try:
         if isinstance(source, str):
@@ -49,7 +50,7 @@ def read_kv(source: str | Path | IO[str]) -> dict[str, tuple[str, int]]:
         ) from None
 
     entries: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -26,7 +26,7 @@ from .money import Money, RoundingMode
 from .params import TaxYearParams, load_tax_year_params, tax_year_params
 from .ptc import PtcContext, ptc_of_deduction
 from .reconcile import NetOutcome, Unlimited, reconcile
-from .scenario import Scenario, parse_scenario
+from .scenario import _FIELDS, Scenario, parse_scenario
 
 if TYPE_CHECKING:
     from .iteration import IterationOutcome
@@ -42,10 +42,6 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _rounding(mode: str) -> RoundingMode:
-    return RoundingMode.DOLLAR if mode == "dollar" else RoundingMode.CENT
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
@@ -89,7 +85,8 @@ def _load_params(args: argparse.Namespace, scenario: Scenario) -> TaxYearParams:
 def _context(args: argparse.Namespace) -> PtcContext:
     scenario = _load_scenario(args)
     params = _load_params(args, scenario)
-    return PtcContext(scenario, params, _rounding(args.mode))
+    rounding = RoundingMode.DOLLAR if args.mode == "dollar" else RoundingMode.CENT
+    return PtcContext(scenario, params, rounding)
 
 
 def canonical_json(payload: object) -> str:
@@ -97,45 +94,41 @@ def canonical_json(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _money_str(amount: Money) -> str:
-    return amount.as_decimal()
-
-
 def _limitation_json(outcome: NetOutcome) -> object:
     if outcome.limitation is None:
         return None
     if isinstance(outcome.limitation, Unlimited):
         return "unlimited"
-    return _money_str(outcome.limitation)
+    return outcome.limitation.as_decimal()
 
 
 def _reconciliation_json(outcome: NetOutcome) -> dict:
     return {
-        "additional_credit": _money_str(outcome.additional_credit),
-        "repayment": _money_str(outcome.repayment),
-        "total_benefit": None if outcome.total_benefit is None else _money_str(outcome.total_benefit),
+        "additional_credit": outcome.additional_credit.as_decimal(),
+        "repayment": outcome.repayment.as_decimal(),
+        "total_benefit": None if outcome.total_benefit is None else outcome.total_benefit.as_decimal(),
         "limitation": _limitation_json(outcome),
     }
 
 
 def _solution_json(ctx: PtcContext, solution: Solution, whole: bool) -> dict:
     payload = {
-        "d": _money_str(solution.deduction),
-        "ptc": _money_str(solution.ptc),
+        "d": solution.deduction.as_decimal(),
+        "ptc": solution.ptc.as_decimal(),
         "method": solution.method.value,
         "iterations": solution.iterations,
         "certificate": {
-            "at": _money_str(solution.certificate.value_at),
+            "at": solution.certificate.value_at.as_decimal(),
             "above": None
             if solution.certificate.value_above is None
-            else _money_str(solution.certificate.value_above),
-            "threshold": _money_str(solution.certificate.threshold),
+            else solution.certificate.value_above.as_decimal(),
+            "threshold": solution.certificate.threshold.as_decimal(),
         },
         "reconciliation": _reconciliation_json(reconcile(ctx, solution)),
     }
     if whole:
         d, ptc = whole_dollar_view(ctx, solution)
-        payload["whole_dollars"] = {"d": _money_str(d), "ptc": _money_str(ptc)}
+        payload["whole_dollars"] = {"d": d.as_decimal(), "ptc": ptc.as_decimal()}
     return payload
 
 
@@ -172,7 +165,7 @@ def _iterate_json(ctx: PtcContext, outcome: IterationOutcome) -> dict:
     from .iteration import simplified_method
 
     def point(p) -> dict:
-        return {"n": p.index, "c": _money_str(p.credit), "d": _money_str(p.deduction)}
+        return {"n": p.index, "c": p.credit.as_decimal(), "d": p.deduction.as_decimal()}
 
     d2, c3 = simplified_method(ctx)
     payload = {
@@ -181,8 +174,8 @@ def _iterate_json(ctx: PtcContext, outcome: IterationOutcome) -> dict:
         "cycle": None
         if outcome.cycle is None
         else {"period": outcome.cycle.period, "points": [point(p) for p in outcome.cycle.points]},
-        "liminf_d": None if outcome.liminf_d is None else _money_str(outcome.liminf_d),
-        "simplified": {"d2": _money_str(d2), "c3": _money_str(c3)},
+        "liminf_d": None if outcome.liminf_d is None else outcome.liminf_d.as_decimal(),
+        "simplified": {"d2": d2.as_decimal(), "c3": c3.as_decimal()},
         "trace": [point(p) for p in outcome.trace],
         "start_clamped": outcome.start_clamped,
     }
@@ -249,8 +242,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.json:
         def pair(d: Money | None, ptc: Money | None) -> dict:
             return {
-                "d": None if d is None else _money_str(d),
-                "ptc": None if ptc is None else _money_str(ptc),
+                "d": None if d is None else d.as_decimal(),
+                "ptc": None if ptc is None else ptc.as_decimal(),
             }
 
         payload = {
@@ -264,8 +257,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "simplified": pair(d2, c3),
             "liminf": pair(d0, d0_ptc),
             "bisection": pair(solution.deduction, solution.ptc),
-            "oracle": {"d": _money_str(oracle_d)},
-            "benefit_gap": _money_str(gap),
+            "oracle": {"d": oracle_d.as_decimal()},
+            "benefit_gap": gap.as_decimal(),
         }
         print(canonical_json(payload))
         return EXIT_OK
@@ -296,8 +289,7 @@ def _parse_cli_money(label: str, raw: str) -> Money:
 def _cmd_scan(args: argparse.Namespace) -> int:
     from .analysis import print_interval_summary, scan_divergence, write_csv
 
-    scenario = _load_scenario(args)
-    params = _load_params(args, scenario)
+    ctx = _context(args)
     lo = _parse_cli_money("--from", args.income_from)
     hi = _parse_cli_money("--to", args.income_to)
     step = _parse_cli_money("--step", args.step)
@@ -310,7 +302,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise _CliError(f"cannot write --out: {exc}", EXIT_BAD_SCENARIO) from None
     with out as stream:
-        result = scan_divergence(scenario, lo, hi, step, params, _rounding(args.mode))
+        result = scan_divergence(ctx.scenario, lo, hi, step, ctx.params, ctx.rounding)
         write_csv(result.records, stream, cents=args.cents)
     for income, message in result.failures:
         print(f"skipped {income}: {message}", file=sys.stderr)
@@ -332,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--set",
             action="append",
             metavar="KEY=VALUE",
-            help="set or override a scenario key (F, P, Q, I, APTC, d0, filing_status, "
-            "tax_year, below_poverty_exception, student_loan_k)",
+            help=f"set or override a scenario key ({', '.join(_FIELDS)})",
         )
         p.add_argument("--params", help="tax-year parameter file (default: bundled by tax_year)")
         p.add_argument(

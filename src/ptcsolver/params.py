@@ -126,13 +126,10 @@ def load_tax_year_params(source: str | Path | IO[str]) -> TaxYearParams:
         raise DocumentError(str(exc), key="figure.*") from None
 
     repay_values = [_parse_whole_dollars(key, *require(key)) for key in _REPAY_KEYS]
-    other_values: list[Money | None] = [None, None, None]
-    present = [key for key in _REPAY_OTHER_KEYS if key in entries]
-    if present:
-        other_values = [
-            _parse_whole_dollars(key, *entries[key]) if key in entries else None
-            for key in _REPAY_OTHER_KEYS
-        ]
+    other_values = [
+        _parse_whole_dollars(key, *entries[key]) if key in entries else None
+        for key in _REPAY_OTHER_KEYS
+    ]
     try:
         repayment_table = RepaymentTable(*repay_values, *other_values)
     except ValueError as exc:
@@ -152,16 +149,11 @@ def dump_tax_year_params(params: TaxYearParams) -> str:
     for key, value in zip(_FIGURE_KEYS, params.figure_table.as_tuple()):
         n = int(value * 10000)
         lines.append(f"{key} = {n // 10000}.{n % 10000:04d}")
-    for key, value in zip(_REPAY_KEYS, params.repayment_table.single_limits()):
-        lines.append(f"{key} = {value.cents // 100}")
-    if params.repayment_table.other_r is not None:
-        explicit = (
-            params.repayment_table.other_r,
-            params.repayment_table.other_s,
-            params.repayment_table.other_t,
-        )
-        for key, value in zip(_REPAY_OTHER_KEYS, explicit):
-            lines.append(f"{key} = {value.cents // 100}")  # type: ignore[union-attr]
+    table = params.repayment_table
+    limits = (table.r, table.s, table.t, table.other_r, table.other_s, table.other_t)
+    for key, value in zip(_REPAY_KEYS + _REPAY_OTHER_KEYS, limits):
+        if value is not None:
+            lines.append(f"{key} = {value.cents // 100}")
     return "\n".join(lines) + "\n"
 
 

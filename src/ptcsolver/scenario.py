@@ -80,28 +80,40 @@ class Scenario:
         return replace(self, income=income)
 
 
-_FIELD_KEYS = (
-    "F",
-    "P",
-    "Q",
-    "I",
-    "APTC",
-    "d0",
-    "filing_status",
-    "tax_year",
-    "below_poverty_exception",
-    "student_loan_k",
-)
-_REQUIRED_KEYS = ("F", "P", "Q", "I", "tax_year")
+def _parse_status(raw: str) -> FilingStatus:
+    try:
+        return FilingStatus(raw.lower())
+    except ValueError:
+        raise ValueError(
+            f"expected one of {[s.value for s in FilingStatus]}, got {raw!r}"
+        ) from None
 
 
-def _parse_bool(key: str, raw: str, line: int | None) -> bool:
+def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered in ("true", "yes", "1"):
         return True
     if lowered in ("false", "no", "0"):
         return False
-    raise DocumentError(f"expected true/false, got {raw!r}", key=key, line=line)
+    raise ValueError(f"expected true/false, got {raw!r}")
+
+
+# The document format: key -> (Scenario field, parser, renderer), in the
+# order ``dump_scenario`` writes the keys.  A parser raises ValueError or
+# TypeError for a bad raw value.
+_FIELDS = {
+    "F": ("poverty_line", Money.from_dollars, Money.as_decimal),
+    "P": ("benchmark_premium", Money.from_dollars, Money.as_decimal),
+    "Q": ("purchased_premium", Money.from_dollars, Money.as_decimal),
+    "I": ("income", Money.from_dollars, Money.as_decimal),
+    "APTC": ("advance_credit", Money.from_dollars, Money.as_decimal),
+    "d0": ("other_deductions", Money.from_dollars, Money.as_decimal),
+    "filing_status": ("filing_status", _parse_status, lambda s: s.value),
+    "tax_year": ("tax_year", str, str),
+    "below_poverty_exception": ("below_poverty_exception", _parse_bool, lambda b: str(b).lower()),
+    "student_loan_k": ("student_loan_cap", Money.from_dollars, Money.as_decimal),
+}
+_REQUIRED_KEYS = ("F", "P", "Q", "I", "tax_year")
 
 
 def parse_scenario(
@@ -123,46 +135,21 @@ def parse_scenario(
     for key, value in (overrides or {}).items():
         entries[key] = (value, None)
 
-    for key in entries:
-        if key not in _FIELD_KEYS:
-            raise DocumentError("unknown field", key=key, line=entries[key][1])
+    for key, (_, line) in entries.items():
+        if key not in _FIELDS:
+            raise DocumentError("unknown field", key=key, line=line)
     for key in _REQUIRED_KEYS:
         if key not in entries:
             raise DocumentError("missing required field", key=key)
 
-    def money_of(key: str) -> Money:
-        raw, line = entries[key]
-        try:
-            return Money.from_dollars(raw)
-        except (ValueError, TypeError) as exc:
-            raise DocumentError(str(exc), key=key, line=line) from None
-
-    kwargs: dict[str, object] = {
-        "poverty_line": money_of("F"),
-        "benchmark_premium": money_of("P"),
-        "purchased_premium": money_of("Q"),
-        "income": money_of("I"),
-        "tax_year": entries["tax_year"][0],
-    }
-    if "APTC" in entries:
-        kwargs["advance_credit"] = money_of("APTC")
-    if "d0" in entries:
-        kwargs["other_deductions"] = money_of("d0")
-    if "filing_status" in entries:
-        raw, line = entries["filing_status"]
-        try:
-            kwargs["filing_status"] = FilingStatus(raw.lower())
-        except ValueError:
-            raise DocumentError(
-                f"expected one of {[s.value for s in FilingStatus]}, got {raw!r}",
-                key="filing_status",
-                line=line,
-            ) from None
-    if "below_poverty_exception" in entries:
-        raw, line = entries["below_poverty_exception"]
-        kwargs["below_poverty_exception"] = _parse_bool("below_poverty_exception", raw, line)
-    if "student_loan_k" in entries:
-        kwargs["student_loan_cap"] = money_of("student_loan_k")
+    kwargs: dict[str, object] = {}
+    for key, (field, parse, _) in _FIELDS.items():
+        if key in entries:
+            raw, line = entries[key]
+            try:
+                kwargs[field] = parse(raw)
+            except (ValueError, TypeError) as exc:
+                raise DocumentError(str(exc), key=key, line=line) from None
 
     try:
         return Scenario(**kwargs)  # type: ignore[arg-type]
@@ -172,17 +159,9 @@ def parse_scenario(
 
 def dump_scenario(scenario: Scenario) -> str:
     """Serialize a scenario back to the document format."""
-    lines = [
-        f"F = {scenario.poverty_line.as_decimal()}",
-        f"P = {scenario.benchmark_premium.as_decimal()}",
-        f"Q = {scenario.purchased_premium.as_decimal()}",
-        f"I = {scenario.income.as_decimal()}",
-        f"APTC = {scenario.advance_credit.as_decimal()}",
-        f"d0 = {scenario.other_deductions.as_decimal()}",
-        f"filing_status = {scenario.filing_status.value}",
-        f"tax_year = {scenario.tax_year}",
-        f"below_poverty_exception = {str(scenario.below_poverty_exception).lower()}",
-    ]
-    if scenario.student_loan_cap is not None:
-        lines.append(f"student_loan_k = {scenario.student_loan_cap.as_decimal()}")
+    lines = []
+    for key, (field, _, render) in _FIELDS.items():
+        value = getattr(scenario, field)
+        if value is not None:
+            lines.append(f"{key} = {render(value)}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,17 @@ def test_undecodable_scenario_file_exit_2(tmp_path, capsys):
     assert captured.err.startswith("error: invalid scenario: ")
     assert "byte offset 19" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_byte_order_mark_scenario_file(tmp_path, capsys):
+    golden = Path(__file__).parent / "golden"
+    path = tmp_path / "bom.scenario"
+    path.write_bytes(b"\xef\xbb\xbf" + (golden / "brooklyn.scenario").read_bytes())
+    code = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (golden / "solve_cent.out").read_text(encoding="utf-8")
+    assert captured.err == ""
 
 
 def test_undecodable_params_file_exit_3(brooklyn_file, tmp_path, capsys):

@@ -72,6 +72,7 @@ def test_round_trip():
 
 def test_doubling_rule_default_and_override():
     params = load_tax_year_params(GOOD_DOC)
+    assert dump_tax_year_params(params) == GOOD_DOC
     assert params.repayment_table.other_limits() == (
         Money.from_dollars(600),
         Money.from_dollars(1550),
@@ -84,6 +85,7 @@ def test_doubling_rule_default_and_override():
         Money.from_dollars(900),
         Money.from_dollars(1500),
     )
+    assert dump_tax_year_params(override) == doc
     assert load_tax_year_params(dump_tax_year_params(override)) == override
 
 
@@ -97,6 +99,8 @@ def test_doubling_rule_default_and_override():
         (lambda d: d.replace("repay.single.t = 1300", "repay.single.t = 100"), "repay.*"),
         (lambda d: d.replace("schema_version = 1", "schema_version = 9"), "schema_version"),
         (lambda d: d + "mystery.key = 1\n", "mystery.key"),
+        (lambda d: d + "repay.other.r = 500\n", "repay.*"),
+        (lambda d: d + "repay.other.r = 900\nrepay.other.s = 500\nrepay.other.t = 1500\n", "repay.*"),
     ],
 )
 def test_errors_name_offending_key(mangle, key):
@@ -137,3 +141,11 @@ def test_undecodable_file_names_the_byte(tmp_path):
     with pytest.raises(DocumentError, match=f"byte offset {len(GOOD_DOC) + 5}") as err:
         load_tax_year_params(path)
     assert err.value.line == 12
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "bom.params"
+    path.write_text("\ufeff" + GOOD_DOC, encoding="utf-8")
+    assert load_tax_year_params(path) == load_tax_year_params(GOOD_DOC)
+    with path.open(encoding="utf-8") as stream:
+        assert load_tax_year_params(stream) == load_tax_year_params(GOOD_DOC)

@@ -96,6 +96,17 @@ def test_dump_round_trips():
     sc = parse_scenario(doc)
     assert parse_scenario(dump_scenario(sc)) == sc
 
+    every_key = parse_scenario(
+        BROOKLYN_DOC + "APTC = 2000\nd0 = 1500.25\nfiling_status = OTHER\n"
+        "below_poverty_exception = yes\nstudent_loan_k = 2500.5\n"
+    )
+    assert dump_scenario(every_key) == (
+        "F = 16240.00\nP = 10390.00\nQ = 10390.00\nI = 71150.00\nAPTC = 2000.00\n"
+        "d0 = 1500.25\nfiling_status = other\ntax_year = 2018\n"
+        "below_poverty_exception = true\nstudent_loan_k = 2500.50\n"
+    )
+    assert parse_scenario(dump_scenario(every_key)) == every_key
+
 
 def test_with_income():
     sc = parse_scenario(BROOKLYN_DOC)
@@ -128,3 +139,11 @@ def test_undecodable_file_names_the_byte(tmp_path):
     assert err.value.line == 2
     with path.open(encoding="utf-8") as stream, pytest.raises(DocumentError, match="byte offset 19"):
         parse_scenario(stream)
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "bom.scenario"
+    path.write_text("\ufeff" + BROOKLYN_DOC, encoding="utf-8")
+    assert parse_scenario(path) == parse_scenario(BROOKLYN_DOC)
+    with path.open(encoding="utf-8") as stream:
+        assert parse_scenario(stream) == parse_scenario(BROOKLYN_DOC)
