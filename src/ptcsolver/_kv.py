@@ -26,6 +26,14 @@ class DocumentError(ValueError):
         super().__init__(message + where)
 
 
+def check_value(name: str, value: str) -> None:
+    """Raise ValueError unless :func:`read_kv` would read ``value`` back as is."""
+    if not value or "#" in value or value != value.strip() or len(value.splitlines()) > 1:
+        raise ValueError(
+            f"{name} must be a non-empty line without '#' or surrounding whitespace, got {value!r}"
+        )
+
+
 def read_kv(source: str | Path | IO[str]) -> dict[str, tuple[str, int]]:
     """Parse a document into ``{key: (raw_value, line_number)}``.
 

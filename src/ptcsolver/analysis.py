@@ -273,9 +273,5 @@ def print_interval_summary(
     intervals: dict[str, list[tuple[Money, Money]]], stream: TextIO = sys.stderr
 ) -> None:
     for kind in ("irs_diverges", "equation_gap"):
-        spans = intervals.get(kind, [])
-        if not spans:
-            print(f"{kind}: none", file=stream)
-        else:
-            rendered = ", ".join(f"[{lo}, {hi}]" for lo, hi in spans)
-            print(f"{kind}: {rendered}", file=stream)
+        rendered = ", ".join(f"[{lo}, {hi}]" for lo, hi in intervals.get(kind, []))
+        print(f"{kind}: {rendered or 'none'}", file=stream)

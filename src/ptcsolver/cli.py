@@ -168,7 +168,7 @@ def _iterate_json(ctx: PtcContext, outcome: IterationOutcome) -> dict:
         return {"n": p.index, "c": p.credit.as_decimal(), "d": p.deduction.as_decimal()}
 
     d2, c3 = simplified_method(ctx)
-    payload = {
+    return {
         "status": outcome.status.value,
         "settled": None if outcome.settled is None else point(outcome.settled),
         "cycle": None
@@ -179,7 +179,6 @@ def _iterate_json(ctx: PtcContext, outcome: IterationOutcome) -> dict:
         "trace": [point(p) for p in outcome.trace],
         "start_clamped": outcome.start_clamped,
     }
-    return payload
 
 
 def _check_max_iter(args: argparse.Namespace) -> None:

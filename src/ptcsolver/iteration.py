@@ -112,10 +112,7 @@ def run_iteration(
     """
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2")
-    if start is None:
-        current, clamped = default_start(ctx)
-    else:
-        current, clamped = start, False
+    current, clamped = default_start(ctx) if start is None else (start, False)
 
     dollar = Money(100)
     trace = [current]
@@ -134,12 +131,11 @@ def run_iteration(
         state = (nxt.credit.cents, nxt.deduction.cents)
         if state in seen:
             cycle_points = tuple(trace[seen[state]:-1])
-            cycle = Cycle(period=len(cycle_points), points=cycle_points)
             return IterationOutcome(
                 status=IterationStatus.DIVERGED_DO_NOT_USE,
                 trace=tuple(trace),
                 liminf_d=min(p.deduction for p in cycle_points),
-                cycle=cycle,
+                cycle=Cycle(period=len(cycle_points), points=cycle_points),
                 start_clamped=clamped,
             )
         seen[state] = len(trace) - 1

@@ -25,8 +25,8 @@ class RoundingMode(Enum):
     DOLLAR = "dollar"
 
 
-# Digits, or comma-separated groups of three ("1,234"), then up to two decimals.
-_MONEY_RE = re.compile(r"^-?\$?(\d{1,3}(,\d{3})+|\d+)(\.\d{1,2})?$")
+# Sign, digits or comma groups of three ("1,234"), up to two decimals: the cents.
+_MONEY_RE = re.compile(r"^(-?)\$?(\d{1,3}(?:,\d{3})+|\d+)(?:\.(\d{1,2}))?$")
 
 
 def div_half_away(n: int, d: int) -> int:
@@ -55,17 +55,20 @@ class Money:
         """Build from an exact dollar amount (int, decimal string, or Fraction).
 
         Strings may carry a leading ``$`` and thousands commas in groups of
-        three (``"$1,234.56"``).  Floats are rejected: they cannot represent
-        most cent values exactly.  Raises ValueError for a malformed string
-        or an amount finer than one cent.
+        three (``"$1,234.56"``); they are read straight to integer cents.
+        Floats and bools are rejected.  Raises ValueError for a malformed
+        string or an amount finer than one cent.
         """
-        if isinstance(amount, bool) or isinstance(amount, float):
-            raise TypeError("Money.from_dollars rejects floats; pass int, str, or Fraction")
+        if isinstance(amount, (bool, float)):
+            kind = type(amount).__name__
+            raise TypeError(f"Money.from_dollars rejects {kind}; pass int, str, or Fraction")
         if isinstance(amount, str):
-            text = amount.strip()
-            if not _MONEY_RE.match(text):
+            match = _MONEY_RE.match(amount.strip())
+            if not match:
                 raise ValueError(f"not a dollar amount: {amount!r}")
-            amount = Fraction(text.replace("$", "").replace(",", ""))
+            sign, whole, frac = match.groups("")
+            cents = int(whole.replace(",", "")) * 100 + int(frac.ljust(2, "0"))
+            return Money(-cents if sign else cents)
         cents = Fraction(amount) * 100
         if cents.denominator != 1:
             raise ValueError(f"amount {amount} is not representable in whole cents")

@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import IO
 
-from ._kv import DocumentError, read_kv
+from ._kv import DocumentError, check_value, read_kv
 from .figures import FigureTable
 from .money import Money
 
@@ -72,13 +72,15 @@ class TaxYearParams:
     figure_table: FigureTable
     repayment_table: RepaymentTable
 
+    def __post_init__(self) -> None:
+        check_value("year", self.year)
+
 
 def _parse_figure_value(key: str, raw: str, line: int) -> Fraction:
     try:
-        value = Fraction(raw)
+        return Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise DocumentError(f"not a decimal: {raw!r}", key=key, line=line) from None
-    return value
 
 
 def _parse_whole_dollars(key: str, raw: str, line: int) -> Money:

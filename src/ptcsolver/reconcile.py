@@ -95,10 +95,7 @@ def reconcile(ctx: PtcContext, solution: Solution) -> NetOutcome:
     m = max(Fraction(0), money_ratio(income, sc.poverty_line))
     limitation = repayment_limitation(m, sc.filing_status, ctx.params.repayment_table)
     shortfall = advance - ptc
-    if isinstance(limitation, Unlimited):
-        repayment = shortfall
-    else:
-        repayment = min(shortfall, limitation)
+    repayment = shortfall if isinstance(limitation, Unlimited) else min(shortfall, limitation)
     return NetOutcome(
         additional_credit=Money(0),
         repayment=repayment,

@@ -7,7 +7,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO
 
-from ._kv import DocumentError, read_kv
+from ._kv import DocumentError, check_value, read_kv
 from .money import Money
 
 
@@ -62,8 +62,7 @@ class Scenario:
             raise ValueError(f"d0 must be non-negative, got {self.other_deductions}")
         if self.student_loan_cap is not None and self.student_loan_cap < zero:
             raise ValueError(f"student_loan_k must be non-negative, got {self.student_loan_cap}")
-        if not self.tax_year:
-            raise ValueError("tax_year must be non-empty")
+        check_value("tax_year", self.tax_year)
 
     @property
     def billed_balance(self) -> Money:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,75 @@ def test_floats_rejected():
         D(865.81)
     with pytest.raises(TypeError):
         Money(1.0)
+
+
+@pytest.mark.parametrize("value,kind", [(True, "bool"), (False, "bool"), (865.81, "float")])
+def test_rejected_type_is_named(value, kind):
+    with pytest.raises(TypeError, match=f"^Money.from_dollars rejects {kind}; pass int, str, or Fraction$"):
+        D(value)
+
+
+# The string path as it was defined before it read cents from the regex
+# groups: validate, then parse the text through Fraction.
+_REFERENCE_RE = re.compile(r"^-?\$?(\d{1,3}(,\d{3})+|\d+)(\.\d{1,2})?$")
+
+
+def _reference_from_dollars(amount: str) -> Money:
+    text = amount.strip()
+    if not _REFERENCE_RE.match(text):
+        raise ValueError(f"not a dollar amount: {amount!r}")
+    cents = Fraction(text.replace("$", "").replace(",", "")) * 100
+    if cents.denominator != 1:
+        raise ValueError(f"amount {amount} is not representable in whole cents")
+    return Money(cents.numerator)
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text).cents
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "text,cents",
+    [
+        ("-0", 0),
+        ("-$0.05", -5),
+        ("1.5", 150),
+        ("$1,234.56", 123456),
+        (" 7 ", 700),
+        ("\u0661\u0662", 1200),  # Arabic-Indic digits: \d and int() accept them
+        ("1.", None),
+        (".5", None),
+        ("0,500", 50000),
+        ("$-5", None),
+        ("1,234,567.8", 123456780),
+        ("12\n", 1200),
+        ("+5", None),
+        ("1e3", None),
+        ("1_000", None),
+    ],
+)
+def test_string_parse_matches_reference(text, cents):
+    expected = _outcome(_reference_from_dollars, text)
+    assert _outcome(D, text) == expected
+    assert expected == (cents if cents is not None else (ValueError, f"not a dollar amount: {text!r}"))
+
+
+def test_string_parse_matches_reference_on_random_strings():
+    # Single characters, digits weighted up, plus chunks that make comma
+    # groups and decimals: about a third of the strings are valid amounts.
+    pieces = [*"0123456789" * 4, *",.$-$- \t\n+e_\u0661\u0969\uff11"]
+    pieces += [",000", ",250", ",\u0969\u0661\uff11", ".5", ".05"]
+    rng = random.Random(20181231)
+    accepted = 0
+    for _ in range(100_000):
+        text = "".join(rng.choices(pieces, k=rng.randint(0, 8)))
+        expected = _outcome(_reference_from_dollars, text)
+        assert _outcome(D, text) == expected, text
+        accepted += isinstance(expected, int)
+    assert accepted > 20_000
 
 
 def test_sub_cent_amounts_rejected():

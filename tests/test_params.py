@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,19 @@ def test_round_trip():
         params = tax_year_params(year)
         reloaded = load_tax_year_params(dump_tax_year_params(params))
         assert reloaded == params
+
+
+@pytest.mark.parametrize("year", ["", "2018 # draft", " 2018", "2018 ", "20\n18", "20\u202818"])
+def test_year_that_would_not_read_back_is_rejected(year):
+    params = load_tax_year_params(GOOD_DOC)
+    with pytest.raises(ValueError, match="year must be a non-empty line"):
+        dataclasses.replace(params, year=year)
+
+
+@pytest.mark.parametrize("year", ["flat", "2018 draft", "2018=draft"])
+def test_year_round_trips(year):
+    params = dataclasses.replace(load_tax_year_params(GOOD_DOC), year=year)
+    assert load_tax_year_params(dump_tax_year_params(params)) == params
 
 
 def test_doubling_rule_default_and_override():

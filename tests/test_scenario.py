@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ptcsolver import DocumentError, FilingStatus, Scenario, dump_scenario, parse_scenario
 from ptcsolver.money import Money
@@ -147,3 +151,59 @@ def test_byte_order_mark_is_dropped(tmp_path):
     assert parse_scenario(path) == parse_scenario(BROOKLYN_DOC)
     with path.open(encoding="utf-8") as stream:
         assert parse_scenario(stream) == parse_scenario(BROOKLYN_DOC)
+
+
+EVERY_AMOUNT_DOC = BROOKLYN_DOC.replace("F = 16240", "F = $16,240.00") + (
+    "APTC = -$0\nd0 = 1,500.25\nstudent_loan_k = 2500.5\n"
+    "filing_status = other\nbelow_poverty_exception = true\n"
+)
+
+
+def test_amounts_parse_without_fraction(monkeypatch):
+    expected = [parse_scenario(BROOKLYN_DOC), parse_scenario(EVERY_AMOUNT_DOC)]
+
+    def no_fraction(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built while parsing a scenario")
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(no_fraction))
+    with pytest.raises(AssertionError):
+        Fraction(1)
+    assert [parse_scenario(BROOKLYN_DOC), parse_scenario(EVERY_AMOUNT_DOC)] == expected
+    assert expected[1].other_deductions == D("1500.25")
+    assert expected[1].student_loan_cap == D("2500.50")
+
+
+def _brooklyn(tax_year: str) -> Scenario:
+    return Scenario(
+        poverty_line=D(16240),
+        benchmark_premium=D(10390),
+        purchased_premium=D(10390),
+        income=D(71150),
+        tax_year=tax_year,
+    )
+
+
+@pytest.mark.parametrize(
+    "tax_year",
+    ["", "2018 # draft", "#", " 2018", "2018 ", "2018\n", "20\n18", "20\r18", "20\u202818", "\t2018"],
+)
+def test_tax_year_that_would_not_read_back_is_rejected(tax_year):
+    with pytest.raises(ValueError, match="tax_year must be a non-empty line"):
+        _brooklyn(tax_year)
+    with pytest.raises(DocumentError, match="tax_year must be a non-empty line"):
+        parse_scenario(BROOKLYN_DOC, {"tax_year": tax_year})
+
+
+@pytest.mark.parametrize("tax_year", ["2018", "flat", "tax year 2018", "2018=draft", "2018\u00a0\u00e9"])
+def test_tax_year_round_trips(tax_year):
+    sc = _brooklyn(tax_year)
+    assert parse_scenario(dump_scenario(sc)) == sc
+
+
+@given(st.text(max_size=12))
+def test_any_accepted_tax_year_round_trips(tax_year):
+    try:
+        sc = _brooklyn(tax_year)
+    except ValueError:
+        return
+    assert parse_scenario(dump_scenario(sc)) == sc
