@@ -11,13 +11,15 @@ freshly recomputed values showing ``g(d) <= Q`` and ``g(d + $1) > Q``.
 
 ``optimal_deduction`` runs the package's one search,
 :func:`ptcsolver.search.last_true`, on integer cents, with or without
-advance payments; Money is built only for the returned solution.
+advance payments; Money is built only for the returned solution, and
+its bracket trace only when a caller reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 from .money import Money, RoundingMode
@@ -62,8 +64,7 @@ class Solution:
     ptc: Money
     method: SolveMethod
     certificate: Certificate
-    trace: tuple[tuple[Money, Money], ...]
-    iterations: int
+    brackets: tuple[tuple[int, int], ...]  # the search's bracket sequence, in cents
 
     def __post_init__(self) -> None:
         if self.deduction + self.ptc > self.certificate.threshold:
@@ -71,6 +72,15 @@ class Solution:
                 f"solution violates the no-double-dipping constraint: "
                 f"{self.deduction} + {self.ptc} > {self.certificate.threshold}"
             )
+
+    @property
+    def iterations(self) -> int:
+        return max(0, len(self.brackets) - 1)
+
+    @cached_property
+    def trace(self) -> tuple[tuple[Money, Money], ...]:
+        """The bracket sequence as Money pairs, built on first read and kept."""
+        return tuple((Money(a), Money(b)) for a, b in self.brackets)
 
 
 def search_domain_upper(ctx: PtcContext) -> Money:
@@ -119,14 +129,14 @@ def optimal_deduction(ctx: PtcContext) -> Solution:
         return dc + credit(dc)
 
     if upper < 0:
-        d, trace, method = sc.billed_balance.cents, (), SolveMethod.INELIGIBLE_FULL_DEDUCTION
+        d, brackets, method = sc.billed_balance.cents, (), SolveMethod.INELIGIBLE_FULL_DEDUCTION
     else:
         _assert_monotone_spot_check(outlay, upper)
         # last_true cannot raise InfeasibleAtLowerBound here: the kernel
         # clamps the credit at Q, so g(0) = credit(0) <= Q.
         step = 100 if ctx.rounding is RoundingMode.DOLLAR else 1
-        d, trace = last_true(lambda dc: outlay(dc) <= threshold, 0, upper, step)
-        method = SolveMethod.BISECTION if trace else SolveMethod.BOUNDARY_B0
+        d, brackets = last_true(lambda dc: outlay(dc) <= threshold, 0, upper, step)
+        method = SolveMethod.BISECTION if brackets else SolveMethod.BOUNDARY_B0
 
     above = d + 100
     certificate = Certificate(
@@ -139,8 +149,7 @@ def optimal_deduction(ctx: PtcContext) -> Solution:
         ptc=Money(credit(d)),
         method=method,
         certificate=certificate,
-        trace=tuple((Money(a), Money(b)) for a, b in trace),
-        iterations=max(0, len(trace) - 1),
+        brackets=brackets,
     )
 
 

@@ -111,7 +111,7 @@ def _reconciliation_json(outcome: NetOutcome) -> dict:
     }
 
 
-def _solution_json(ctx: PtcContext, solution: Solution, whole: bool) -> dict:
+def _solution_json(ctx: PtcContext, solution: Solution, whole: bool, trace: bool) -> dict:
     payload = {
         "d": solution.deduction.as_decimal(),
         "ptc": solution.ptc.as_decimal(),
@@ -129,6 +129,10 @@ def _solution_json(ctx: PtcContext, solution: Solution, whole: bool) -> dict:
     if whole:
         d, ptc = whole_dollar_view(ctx, solution)
         payload["whole_dollars"] = {"d": d.as_decimal(), "ptc": ptc.as_decimal()}
+    if trace:
+        payload["trace"] = [
+            {"k": k, "a": a.as_decimal(), "b": b.as_decimal()} for k, (a, b) in enumerate(solution.trace)
+        ]
     return payload
 
 
@@ -146,11 +150,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     ctx = _context(args)
     solution = optimal_deduction(ctx)
     if args.json:
-        print(canonical_json(_solution_json(ctx, solution, args.whole_dollars)))
+        print(canonical_json(_solution_json(ctx, solution, args.whole_dollars, args.trace)))
         return EXIT_OK
     print(f"deduction: {solution.deduction}")
     print(f"credit:    {solution.ptc}")
     print(f"method:    {solution.method.value} ({solution.iterations} bisection steps)")
+    if args.trace:
+        print("k,a,b")
+        for k, (a, b) in enumerate(solution.trace):
+            print(f"{k},{a.as_decimal()},{b.as_decimal()}")
     cert = solution.certificate
     above = "domain boundary" if cert.value_above is None else f"{cert.value_above} > Q"
     print(f"certificate: d + PTC(d) = {cert.value_at} <= Q = {cert.threshold}; at d + $1: {above}")
@@ -337,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="optimal deduction and credit, with certificate")
     add_common(p_solve)
     p_solve.add_argument("--whole-dollars", action="store_true", help="also report form-ready whole-dollar values")
+    p_solve.add_argument("--trace", action="store_true", help="print every bisection bracket")
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(fn=_cmd_solve)
 

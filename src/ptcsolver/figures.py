@@ -39,6 +39,7 @@ BREAKPOINTS: tuple[Fraction, ...] = (
 
 # The interior breakpoints cut the curve into its six segments.
 _CUTS = BREAKPOINTS[1:-1]
+_BREAKPOINT_RATIOS = tuple((b.numerator, b.denominator) for b in BREAKPOINTS)
 
 _TEN_THOUSANDTH = Fraction(1, 10000)
 
@@ -114,7 +115,7 @@ def cent_cuts(poverty_cents: int) -> list[int]:
     """Smallest household income, in cents, at or past each breakpoint:
     ``ceil(b * F)``.  ``bisect_right`` on the interior cuts finds the row
     of an income in cents without forming its multiple."""
-    return [-(-b.numerator * poverty_cents // b.denominator) for b in BREAKPOINTS]
+    return [-(-n * poverty_cents // d) for n, d in _BREAKPOINT_RATIOS]
 
 
 def applicable_figure(m: Fraction, table: FigureTable, quantize: bool = False) -> Fraction:

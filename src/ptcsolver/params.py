@@ -84,7 +84,7 @@ def _parse_figure_value(key: str, raw: str, line: int) -> Fraction:
 
 
 def _parse_whole_dollars(key: str, raw: str, line: int) -> Money:
-    if not raw.isdigit():
+    if not raw.isdecimal():
         raise DocumentError(f"expected whole dollars, got {raw!r}", key=key, line=line)
     return Money(int(raw) * 100)
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bisection import Solution
-from .money import Money, money_ratio
+from .money import Money
 from .params import RepaymentTable
-from .ptc import PtcContext, chained_household_income
+from .ptc import PtcContext, chained_income_cents
 from .scenario import FilingStatus
 
 
@@ -46,16 +46,20 @@ def repayment_limitation(
     """
     if m < 0:
         raise ValueError(f"income multiple must be non-negative, got {m}")
-    if m >= 4:
+    return _band_limitation(m.numerator, m.denominator, status, table)
+
+
+def _band_limitation(
+    num: int, den: int, status: FilingStatus, table: RepaymentTable
+) -> Money | Unlimited:
+    """The band rule on the income multiple ``num / den`` (``den > 0``);
+    a negative multiple falls in the lowest band."""
+    if num >= 4 * den:
         return UNLIMITED
     limits = (
         table.single_limits() if status is FilingStatus.SINGLE else table.other_limits()
     )
-    if m < 2:
-        return limits[0]
-    if m < 3:
-        return limits[1]
-    return limits[2]
+    return limits[(num >= 2 * den) + (num >= 3 * den)]
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,12 @@ def reconcile(ctx: PtcContext, solution: Solution) -> NetOutcome:
             total_benefit=None,
             limitation=None,
         )
-    income = chained_household_income(ctx, solution.deduction)
-    m = max(Fraction(0), money_ratio(income, sc.poverty_line))
-    limitation = repayment_limitation(m, sc.filing_status, ctx.params.repayment_table)
+    income = sc.effective_income.cents - solution.deduction.cents
+    if sc.student_loan_cap is not None:
+        income = chained_income_cents(income, sc.student_loan_cap.cents)
+    limitation = _band_limitation(
+        income, sc.poverty_line.cents, sc.filing_status, ctx.params.repayment_table
+    )
     shortfall = advance - ptc
     repayment = shortfall if isinstance(limitation, Unlimited) else min(shortfall, limitation)
     return NetOutcome(

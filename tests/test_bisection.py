@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -126,9 +127,7 @@ def test_brooklyn_improves_on_simplified(brooklyn_dollar_ctx):
     assert solution.deduction >= liminf_deduction(outcome)
 
 
-def test_boundary_case(params_2018):
-    # Wealthless premium relative to income: the whole interval is
-    # feasible and the search returns its upper end without bisecting.
+def _boundary_ctx(params) -> PtcContext:
     sc = Scenario(
         poverty_line=D(16240),
         benchmark_premium=D(2000),
@@ -136,15 +135,10 @@ def test_boundary_case(params_2018):
         income=D(60000),
         tax_year="2018",
     )
-    ctx = PtcContext(sc, params_2018)
-    solution = optimal_deduction(ctx)
-    assert solution.method is SolveMethod.BOUNDARY_B0
-    assert solution.deduction == D(2000)  # b0 = min(Q, I - F)
-    assert solution.iterations == 0
-    assert solution.certificate.at_boundary
+    return PtcContext(sc, params)
 
 
-def test_ineligible_below_poverty_line(params_2018):
+def _ineligible_ctx(params) -> PtcContext:
     sc = Scenario(
         poverty_line=D(16240),
         benchmark_premium=D(4000),
@@ -152,10 +146,82 @@ def test_ineligible_below_poverty_line(params_2018):
         income=D(10000),
         tax_year="2018",
     )
-    solution = optimal_deduction(PtcContext(sc, params_2018))
+    return PtcContext(sc, params)
+
+
+def test_boundary_case(params_2018):
+    # Wealthless premium relative to income: the whole interval is
+    # feasible and the search returns its upper end without bisecting.
+    solution = optimal_deduction(_boundary_ctx(params_2018))
+    assert solution.method is SolveMethod.BOUNDARY_B0
+    assert solution.deduction == D(2000)  # b0 = min(Q, I - F)
+    assert solution.iterations == 0
+    assert solution.certificate.at_boundary
+
+
+def test_ineligible_below_poverty_line(params_2018):
+    solution = optimal_deduction(_ineligible_ctx(params_2018))
     assert solution.method is SolveMethod.INELIGIBLE_FULL_DEDUCTION
     assert solution.deduction == D(4000)  # the full premium
     assert solution.ptc == D(0)
+
+
+def _branch_contexts(brooklyn, params) -> dict[SolveMethod | str, PtcContext]:
+    return {
+        "cent": PtcContext(brooklyn, params, RoundingMode.CENT),
+        "dollar": PtcContext(brooklyn, params, RoundingMode.DOLLAR),
+        SolveMethod.BOUNDARY_B0: _boundary_ctx(params),
+        SolveMethod.INELIGIBLE_FULL_DEDUCTION: _ineligible_ctx(params),
+    }
+
+
+@pytest.mark.parametrize(
+    "branch", ["cent", "dollar", SolveMethod.BOUNDARY_B0, SolveMethod.INELIGIBLE_FULL_DEDUCTION]
+)
+def test_trace_is_built_on_read_from_int_brackets(brooklyn, params_2018, branch):
+    solution = optimal_deduction(_branch_contexts(brooklyn, params_2018)[branch])
+    assert solution.method is (SolveMethod.BISECTION if isinstance(branch, str) else branch)
+    assert all(isinstance(c, int) for bracket in solution.brackets for c in bracket)
+    assert solution.iterations == max(0, len(solution.brackets) - 1)
+    assert "trace" not in vars(solution)  # nothing built before the first read
+    trace = solution.trace
+    assert trace == tuple((Money(a), Money(b)) for a, b in solution.brackets)
+    assert solution.trace is trace  # kept after the first read
+    assert bool(trace) is (branch in ("cent", "dollar"))
+
+
+def test_replace_still_checks_no_double_dipping(brooklyn_cent_ctx):
+    solution = optimal_deduction(brooklyn_cent_ctx)
+    assert solution.trace  # a kept trace is not carried into the copy
+    moved = dataclasses.replace(solution, deduction=solution.deduction - D(1))
+    assert moved.brackets == solution.brackets and "trace" not in vars(moved)
+    with pytest.raises(ValueError, match="no-double-dipping"):
+        dataclasses.replace(solution, deduction=solution.deduction + D(1))
+
+
+def test_solve_builds_money_independent_of_steps(monkeypatch, brooklyn, params_2018):
+    # Money is built for the returned values only, never per bracket.
+    contexts = _branch_contexts(brooklyn, params_2018)
+    built = []
+    real = Money.__post_init__
+
+    def counting(self) -> None:
+        built.append(self.cents)
+        real(self)
+
+    monkeypatch.setattr(Money, "__post_init__", counting)
+    counts = {}
+    for branch in ("cent", "dollar", SolveMethod.BOUNDARY_B0):
+        built.clear()
+        solution = optimal_deduction(contexts[branch])
+        # A boundary certificate has no value one dollar above the domain.
+        counts[branch] = len(built) - (solution.certificate.value_above is not None)
+        if branch == "cent":
+            assert len(solution.brackets) == 21
+            built.clear()
+            solution.trace
+            assert len(built) == 42
+    assert counts["cent"] == counts["dollar"] == counts[SolveMethod.BOUNDARY_B0]
 
 
 def test_aptc_equal_to_premium(params_2018, brooklyn):

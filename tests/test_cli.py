@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,19 @@ def test_solve_paper_mode(brooklyn_file, capsys):
     assert "credit:    $4,182.00" in out
     assert "method:    bisection" in out
     assert "$10,390.00" in out  # certificate attains Q exactly
+
+
+@pytest.mark.parametrize("mode", ["cent", "dollar"])
+def test_solve_json_trace_lists_the_brackets(brooklyn_file, capsys, mode):
+    assert main(["solve", brooklyn_file, "--mode", mode, "--json"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(["solve", brooklyn_file, "--mode", mode, "--json", "--trace"]) == 0
+    traced = json.loads(capsys.readouterr().out)
+    rows = traced.pop("trace")
+    assert traced == plain
+    assert [row["k"] for row in rows] == list(range(plain["iterations"] + 1))
+    assert rows[0] == {"k": 0, "a": "0.00", "b": "10390.00"}
+    assert rows[-1]["a"] == plain["d"]
 
 
 def test_solve_json_round_trips(brooklyn_file, capsys):
@@ -143,6 +157,19 @@ def test_undecodable_params_file_exit_3(brooklyn_file, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: bad parameter file: ")
     assert "byte offset 30" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_superscript_repayment_limit_exit_3(brooklyn_file, tmp_path, capsys):
+    path = tmp_path / "superscript.params"
+    text = (resources.files("ptcsolver.data") / "2018.params").read_text(encoding="utf-8")
+    path.write_text(text.replace("repay.single.r = 300", "repay.single.r = \u00b3"), encoding="utf-8")
+    code = main(["solve", brooklyn_file, "--params", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad parameter file: ")
+    assert "(key 'repay.single.r', line 14)" in captured.err
     assert captured.err.count("\n") == 1
 
 

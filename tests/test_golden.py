@@ -23,6 +23,8 @@ CASES = {
     "solve_dollar_json": (["solve", "--mode", "dollar", "--json"], 0),
     "solve_whole_dollars": (["solve", "--whole-dollars"], 0),
     "solve_whole_dollars_json": (["solve", "--whole-dollars", "--json"], 0),
+    "solve_cent_trace": (["solve", "--trace"], 0),
+    "solve_dollar_trace": (["solve", "--mode", "dollar", "--trace"], 0),
     "iterate_cent": (["iterate", "--trace"], 4),
     "iterate_cent_json": (["iterate", "--json"], 4),
     "iterate_dollar": (["iterate", "--mode", "dollar", "--trace"], 4),

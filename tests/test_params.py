@@ -123,6 +123,20 @@ def test_errors_name_offending_key(mangle, key):
     assert err.value.key == key
 
 
+@pytest.mark.parametrize("raw", ["\u00b3", "1\u00b2", "\u2460"])
+def test_whole_dollars_reject_what_int_would_not_read(raw):
+    # Superscript and circled digits pass str.isdigit but not int().
+    with pytest.raises(DocumentError) as err:
+        load_tax_year_params(GOOD_DOC.replace("repay.single.r = 300", f"repay.single.r = {raw}"))
+    assert (err.value.key, err.value.line) == ("repay.single.r", 9)
+    assert repr(raw) in str(err.value)
+
+
+def test_whole_dollars_accept_decimal_digits_of_any_script():
+    doc = GOOD_DOC.replace("repay.single.r = 300", "repay.single.r = \u0663\u0660\u0660")
+    assert load_tax_year_params(doc) == load_tax_year_params(GOOD_DOC)
+
+
 def test_malformed_line_reports_line_number():
     with pytest.raises(DocumentError) as err:
         load_tax_year_params("schema_version = 1\nnot a kv line\n")
