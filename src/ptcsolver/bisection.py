@@ -9,6 +9,11 @@ where the fixed-point iteration of :mod:`ptcsolver.iteration` oscillates
 and fails, and it certifies its answer: the returned solution carries
 freshly recomputed values showing ``g(d) <= Q`` and ``g(d + $1) > Q``.
 
+That ``g`` increases is not sampled on each solve: it follows from the
+figure table, which :func:`ptcsolver.figures.check_monotone_rows` checks
+once per table, when the credit kernel first reads its rows.  A table
+that fails the check is refused before any search runs.
+
 ``optimal_deduction`` runs the package's one search,
 :func:`ptcsolver.search.last_true`, on integer cents, with or without
 advance payments; Money is built only for the returned solution, and
@@ -20,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable
 
 from .money import Money, RoundingMode
-from .ptc import PtcContext, max_deduction_for_income_floor
+from .ptc import PtcContext, deduction_cap_cents
+from .scenario import Scenario
 from .search import last_true
 
 
@@ -93,21 +98,11 @@ def search_domain_upper(ctx: PtcContext) -> Money:
     deductions trade a zero credit for tax savings the solver
     deliberately does not model.
     """
-    sc = ctx.scenario
-    floor = Money(0) if sc.below_poverty_exception else sc.poverty_line
-    return max_deduction_for_income_floor(ctx, floor)
+    return Money(_upper_cents(ctx.scenario))
 
 
-def _assert_monotone_spot_check(outlay: Callable[[int], int], upper_c: int) -> None:
-    """Cheap guard against non-monotone credit rules (refuse, don't mis-solve)."""
-    samples = [(upper_c * i) // 8 for i in range(9)]
-    values = [outlay(dc) for dc in samples]
-    for d_prev, d_next, v_prev, v_next in zip(samples, samples[1:], values, values[1:]):
-        if v_next < v_prev:
-            raise ValueError(
-                f"outlay decreases between {Money(d_prev)} and {Money(d_next)}; "
-                "the search requires a monotone credit rule"
-            )
+def _upper_cents(sc: Scenario) -> int:
+    return deduction_cap_cents(sc, 0 if sc.below_poverty_exception else sc.poverty_line.cents)
 
 
 def optimal_deduction(ctx: PtcContext) -> Solution:
@@ -118,35 +113,34 @@ def optimal_deduction(ctx: PtcContext) -> Solution:
     the credit, so they simply deduct the full billed balance.  Everyone
     else gets the certified search, over [0, Q - APTC]: on cents, or in
     dollar mode on whole-dollar midpoints with a $1 stopping width, which
-    reproduces the worked traces.
+    reproduces the worked traces.  A figure table whose curve is not
+    monotone is refused when the kernel is built, before the search.
     """
     sc = ctx.scenario
-    upper = search_domain_upper(ctx).cents
-    threshold = sc.purchased_premium.cents
     credit = ctx.credit_cents
-
-    def outlay(dc: int) -> int:
-        return dc + credit(dc)
+    upper = _upper_cents(sc)
+    threshold = sc.purchased_premium.cents
 
     if upper < 0:
-        d, brackets, method = sc.billed_balance.cents, (), SolveMethod.INELIGIBLE_FULL_DEDUCTION
+        d = sc.billed_balance.cents
+        brackets, method = (), SolveMethod.INELIGIBLE_FULL_DEDUCTION
     else:
-        _assert_monotone_spot_check(outlay, upper)
         # last_true cannot raise InfeasibleAtLowerBound here: the kernel
         # clamps the credit at Q, so g(0) = credit(0) <= Q.
         step = 100 if ctx.rounding is RoundingMode.DOLLAR else 1
-        d, brackets = last_true(lambda dc: outlay(dc) <= threshold, 0, upper, step)
+        d, brackets = last_true(lambda dc: dc + credit(dc) <= threshold, 0, upper, step)
         method = SolveMethod.BISECTION if brackets else SolveMethod.BOUNDARY_B0
 
+    ptc = credit(d)
     above = d + 100
     certificate = Certificate(
-        value_at=Money(outlay(d)),
-        value_above=Money(outlay(above)) if above <= upper else None,
+        value_at=Money(d + ptc),
+        value_above=Money(above + credit(above)) if above <= upper else None,
         threshold=sc.purchased_premium,
     )
     return Solution(
         deduction=Money(d),
-        ptc=Money(credit(d)),
+        ptc=Money(ptc),
         method=method,
         certificate=certificate,
         brackets=brackets,

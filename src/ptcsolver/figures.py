@@ -10,9 +10,11 @@ arithmetic; the jump and the breakpoints are classified without any
 floating-point error.
 
 The curve is written down once, as :attr:`FigureTable.segments`.
-:func:`applicable_figure` interpolates those rows in ``Fraction``
-arithmetic; the credit kernel in :mod:`ptcsolver.ptc` uses their integer
-form (:attr:`FigureTable.integer_segments`) with :func:`cent_cuts`.
+:func:`applicable_figure` and :func:`figure_at` interpolate those rows in
+``Fraction`` arithmetic; the credit kernel in :mod:`ptcsolver.ptc` uses
+their integer form (:attr:`FigureTable.integer_segments`) with
+:func:`cent_cuts`, which :func:`check_monotone_rows` proves monotone once
+per table.
 """
 
 from __future__ import annotations
@@ -40,8 +42,15 @@ BREAKPOINTS: tuple[Fraction, ...] = (
 # The interior breakpoints cut the curve into its six segments.
 _CUTS = BREAKPOINTS[1:-1]
 _BREAKPOINT_RATIOS = tuple((b.numerator, b.denominator) for b in BREAKPOINTS)
+# The lowest multiple at which the credit kernel reads each row: row 0 from
+# 0 (the below-poverty exception), every other row from its breakpoint.
+_FIRST_READ = (Fraction(0), *_CUTS)
+_MONOTONE = "the credit search requires a monotone curve"
 
 _TEN_THOUSANDTH = Fraction(1, 10000)
+
+# The curve's rows in integers, (a, b, den) each: figure(m) = (a + b*m) / den.
+IntegerRows = tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -89,26 +98,80 @@ class FigureTable:
         return (self.j, self.k, self.l, self.a, self.b, self.c)
 
     @cached_property
-    def segments(self) -> tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]:
-        """The curve as rows ``(start, end, value_at_start, value_at_end)``.
+    def segments(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        """The curve as rows ``(start, value_at_start, slope)``.
 
-        Row 0 is flat at ``j`` up to the jump at 133%, so the jump's upper
-        side opens row 1; the last row is flat at ``c``.  Within a row the
-        figure is linear in the income multiple.
+        Row ``i`` runs from ``BREAKPOINTS[i]`` to ``BREAKPOINTS[i + 1]``, where
+        the figure is ``value_at_start + slope * (m - start)``.  Row 0 is flat
+        at ``j`` up to the jump at 133%, so the jump's upper side opens row 1;
+        the last row is flat at ``c``.
         """
         v = self.as_tuple()
-        return tuple(zip(BREAKPOINTS, BREAKPOINTS[1:], v, (v[0], *v[2:], v[-1])))
+        ends = (v[0], *v[2:], v[-1])
+        return tuple(
+            (start, v0, (v1 - v0) / (end - start))
+            for start, end, v0, v1 in zip(BREAKPOINTS, BREAKPOINTS[1:], v, ends)
+        )
 
     @cached_property
-    def integer_segments(self) -> tuple[tuple[int, int, int], ...]:
-        """Each row as integers ``(a, b, den)``: figure(m) = (a + b*m) / den."""
+    def integer_segments(self) -> IntegerRows:
+        """Each row as integers ``(a, b, den)``: figure(m) = (a + b*m) / den.
+
+        Built and checked once per table, by :func:`check_monotone_rows`;
+        the credit kernel reads only these rows, so every solve can rely on
+        a credit that never falls as the deduction grows.
+        """
         rows = []
-        for start, end, v0, v1 in self.segments:
-            slope = (v1 - v0) / (end - start)
-            intercept = v0 - slope * start
+        for start, value, slope in self.segments:
+            intercept = value - slope * start
             den = lcm(slope.denominator, intercept.denominator)
             rows.append((int(intercept * den), int(slope * den), den))
-        return tuple(rows)
+        return check_monotone_rows(tuple(rows))
+
+
+def check_monotone_rows(rows: IntegerRows) -> IntegerRows:
+    """Return ``rows`` (``(a, b, den)`` per segment) if the figure they give
+    is positive and nondecreasing wherever the credit kernel reads it.
+
+    Each row needs ``den > 0``, a slope ``b >= 0`` and a positive figure
+    where the kernel first reads it: from m = 0 for row 0 (the
+    below-poverty exception), from its breakpoint for the others.  No row
+    may start below where the previous row ends.  Raises ValueError
+    otherwise.
+
+    Why that makes the solver's search sound: with these rows the figure
+    ``f`` is positive and nondecreasing on [0, 4], so the contribution
+    ``f(M/F) * M`` never falls as household income ``M >= 0`` rises (for
+    ``M1 < M2``, ``f(m1)*M1 <= f(m2)*M1 <= f(m2)*M2``).  The kernel picks a
+    row by cent cuts that agree with the exact multiple, rounds half away
+    from zero and clamps to [0, Q], all of which keep that order, and it
+    returns 0 above 4F.  Chained income falls as the deduction grows, and
+    the search domain keeps it at or above the eligibility floor, so on
+    that domain the credit never falls as the deduction grows and
+    ``g(d) = d + credit(d)`` strictly increases: ``g(d) <= Q`` holds on an
+    initial run of the domain and fails after it, as the bisection needs.
+    Unlike sampling ``g`` on every solve, this check cannot miss a dip
+    between samples, and it runs once per table.
+    """
+    previous_end = None
+    for i, ((a, b, den), start, end) in enumerate(zip(rows, _FIRST_READ, BREAKPOINTS[1:])):
+        where = f"figure row {i} (from {BREAKPOINTS[i]} to {end} of the poverty line)"
+        if den <= 0:
+            raise ValueError(f"{where}: denominator must be positive, got {den}")
+        if b < 0:
+            raise ValueError(f"{where}: figure decreases with income; {_MONOTONE}")
+        if not a + b * start > 0:
+            raise ValueError(
+                f"{where}: figure must be positive, got {Fraction(a + b * start, den)} at {start}"
+            )
+        value_at_start = Fraction(a + b * BREAKPOINTS[i], den)
+        if previous_end is not None and value_at_start < previous_end:
+            raise ValueError(
+                f"{where}: starts at {value_at_start}, below the previous row's end "
+                f"{previous_end}; {_MONOTONE}"
+            )
+        previous_end = Fraction(a + b * end, den)
+    return rows
 
 
 def cent_cuts(poverty_cents: int) -> list[int]:
@@ -130,8 +193,13 @@ def applicable_figure(m: Fraction, table: FigureTable, quantize: bool = False) -
     m = Fraction(m)
     if not 0 <= m <= BREAKPOINTS[-1]:
         raise ValueError(f"income multiple {m} outside [0, {BREAKPOINTS[-1]}]")
-    start, end, v0, v1 = table.segments[bisect_right(_CUTS, m)]
-    value = v0 + (v1 - v0) * (m - start) / (end - start)
+    value = figure_at(m, table)
     if quantize:
         value = round_fraction(value, _TEN_THOUSANDTH)
     return value
+
+
+def figure_at(m: Fraction, table: FigureTable) -> Fraction:
+    """The exact figure at a multiple ``m`` in [0, 4], unchecked."""
+    start, value, slope = table.segments[bisect_right(_CUTS, m)]
+    return value + slope * (m - start)

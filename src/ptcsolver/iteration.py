@@ -85,13 +85,22 @@ def default_start(ctx: PtcContext) -> tuple[IterationPoint, bool]:
 
 
 def step(ctx: PtcContext, point: IterationPoint) -> IterationPoint:
-    """Apply the guidance's map once: (c, d) -> (PTC(d), billed - PTC(d)).
+    """Apply the guidance's map once: (c, d) -> (PTC(d), min(B, Q - PTC(d))).
 
-    Both coordinates are rounded per the context's mode after the step.
+    The iterative calculation of Rev. Proc. 2014-41, restated in
+    Publication 974, alternates two steps: the credit at the current
+    deduction, then a deduction of the premiums the credit does not
+    cover, Q - PTC(d).  Both are rounded per the context's mode.  Advance
+    payments (APTC) enter only as a cap: the deduction never exceeds the
+    billed balance B = Q - APTC, the premiums the household paid itself.
+    Every iterate stays in [0, B], the solver's domain; without advance
+    payments B = Q, and the clamp binds only where rounding to whole
+    dollars would carry the deduction past 0 or Q.
     """
-    billed_c = ctx.scenario.billed_balance.cents
+    sc = ctx.scenario
     credit_c = round_cents(ctx.credit_cents(point.deduction.cents), ctx.rounding)
-    deduction_c = round_cents(billed_c - credit_c, ctx.rounding)
+    deduction_c = round_cents(sc.purchased_premium.cents - credit_c, ctx.rounding)
+    deduction_c = min(sc.billed_balance.cents, max(0, deduction_c))
     return IterationPoint(Money(credit_c), Money(deduction_c), point.index + 1)
 
 

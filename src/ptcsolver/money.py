@@ -59,9 +59,6 @@ class Money:
         Floats and bools are rejected.  Raises ValueError for a malformed
         string or an amount finer than one cent.
         """
-        if isinstance(amount, (bool, float)):
-            kind = type(amount).__name__
-            raise TypeError(f"Money.from_dollars rejects {kind}; pass int, str, or Fraction")
         if isinstance(amount, str):
             match = _MONEY_RE.match(amount.strip())
             if not match:
@@ -69,6 +66,9 @@ class Money:
             sign, whole, frac = match.groups("")
             cents = int(whole.replace(",", "")) * 100 + int(frac.ljust(2, "0"))
             return Money(-cents if sign else cents)
+        if isinstance(amount, (bool, float)):
+            kind = type(amount).__name__
+            raise TypeError(f"Money.from_dollars rejects {kind}; pass int, str, or Fraction")
         cents = Fraction(amount) * 100
         if cents.denominator != 1:
             raise ValueError(f"amount {amount} is not representable in whole cents")

@@ -30,8 +30,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .figures import BREAKPOINTS, applicable_figure, cent_cuts
-from .money import Money, RoundingMode, div_half_away, money_ratio, round_money
+from .figures import BREAKPOINTS, applicable_figure, cent_cuts, figure_at
+from .money import Money, RoundingMode, div_half_away, money_ratio, round_cents, round_money
 from .params import TaxYearParams
 from .scenario import Scenario
 from .search import InfeasibleAtLowerBound, last_true
@@ -159,12 +159,16 @@ def max_deduction_for_income_floor(ctx: PtcContext, floor: Money) -> Money:
     deduction cannot reach the floor (the household is ineligible on
     income grounds alone).
     """
-    sc = ctx.scenario
-    billed_c = sc.billed_balance.cents
-    base_c = sc.effective_income.cents
-    floor_c = floor.cents
+    return Money(deduction_cap_cents(ctx.scenario, floor.cents))
+
+
+def deduction_cap_cents(sc: Scenario, floor_c: int) -> int:
+    """:func:`max_deduction_for_income_floor` in integer cents, for a
+    floor of ``floor_c`` cents; -1 or less when no deduction reaches it."""
+    billed_c = sc.purchased_premium.cents - sc.advance_credit.cents
+    base_c = sc.income.cents - sc.other_deductions.cents
     if sc.student_loan_cap is None:
-        return Money(min(billed_c, base_c - floor_c))
+        return min(billed_c, base_c - floor_c)
     cap_c = sc.student_loan_cap.cents
 
     def reaches_floor(dc: int) -> bool:
@@ -173,8 +177,8 @@ def max_deduction_for_income_floor(ctx: PtcContext, floor: Money) -> Money:
     try:
         cutoff, _ = last_true(reaches_floor, 0, billed_c, 1)
     except InfeasibleAtLowerBound:
-        return Money(-1)
-    return Money(cutoff)
+        return -1
+    return cutoff
 
 
 def expected_contribution(income: Money, figure: Fraction, rounding: RoundingMode) -> Money:
@@ -203,9 +207,13 @@ def ptc_base(ctx: PtcContext, income: Money) -> Money:
     if m < 0:
         raise ValueError("household income is negative")
     figure = applicable_figure(m, ctx.params.figure_table)
-    contribution = expected_contribution(income, figure, ctx.rounding)
-    remainder = round_money((sc.benchmark_premium - contribution).dollars, ctx.rounding)
-    return min(sc.purchased_premium, max(Money(0), remainder))
+    return _credit(sc, expected_contribution(income, figure, ctx.rounding), ctx.rounding)
+
+
+def _credit(sc: Scenario, contribution: Money, rounding: RoundingMode) -> Money:
+    """``P - contribution``, rounded per mode and clamped to [0, Q]."""
+    remainder = round_cents(sc.benchmark_premium.cents - contribution.cents, rounding)
+    return Money(min(sc.purchased_premium.cents, max(0, remainder)))
 
 
 def ptc_of_deduction(ctx: PtcContext, deduction: Money) -> Money:
@@ -226,17 +234,18 @@ def ptc_of_deduction(ctx: PtcContext, deduction: Money) -> Money:
 def ptc_of_deduction_reference(ctx: PtcContext, deduction: Money) -> Money:
     """Transparent Fraction-based twin of :func:`ptc_of_deduction`.
 
-    Composes the public operations step by step; kept as an executable
-    cross-check of the integer kernel (the test suite asserts exact
+    Takes the chained household income and its exact multiple of the
+    poverty line once, then what :func:`ptc_base` computes there, without
+    repeating its checks: the figure from the table's ``(start, value,
+    slope)`` rows, the contribution in ``Fraction`` arithmetic and the
+    clamped remainder.  It shares nothing with the integer kernel and is
+    kept as an executable cross-check of it (the test suite asserts exact
     agreement across random scenarios).
     """
     sc = ctx.scenario
     income = chained_household_income(ctx, deduction)
-    if income < Money(0):
+    m = Fraction(income.cents, sc.poverty_line.cents)
+    if not (0 if sc.below_poverty_exception else BREAKPOINTS[0]) <= m <= BREAKPOINTS[-1]:
         return Money(0)
-    m = money_ratio(income, sc.poverty_line)
-    if m > BREAKPOINTS[-1]:
-        return Money(0)
-    if m < BREAKPOINTS[0] and not sc.below_poverty_exception:
-        return Money(0)
-    return ptc_base(ctx, income)
+    figure = figure_at(m, ctx.params.figure_table)
+    return _credit(sc, round_money(income.dollars * figure, ctx.rounding), ctx.rounding)

@@ -43,24 +43,23 @@ class Scenario:
     student_loan_cap: Money | None = None
 
     def __post_init__(self) -> None:
-        zero = Money(0)
-        if not self.poverty_line > zero:
+        if not self.poverty_line.cents > 0:
             raise ValueError(f"F must be positive, got {self.poverty_line}")
-        if not self.benchmark_premium > zero:
+        if not self.benchmark_premium.cents > 0:
             raise ValueError(f"P must be positive, got {self.benchmark_premium}")
-        if not self.purchased_premium > zero:
+        if not self.purchased_premium.cents > 0:
             raise ValueError(f"Q must be positive, got {self.purchased_premium}")
-        if self.income < self.purchased_premium:
+        if self.income.cents < self.purchased_premium.cents:
             raise ValueError(
                 f"I must be at least Q, got I={self.income} < Q={self.purchased_premium}"
             )
-        if not zero <= self.advance_credit <= self.purchased_premium:
+        if not 0 <= self.advance_credit.cents <= self.purchased_premium.cents:
             raise ValueError(
                 f"APTC must lie in [0, Q], got {self.advance_credit} with Q={self.purchased_premium}"
             )
-        if self.other_deductions < zero:
+        if self.other_deductions.cents < 0:
             raise ValueError(f"d0 must be non-negative, got {self.other_deductions}")
-        if self.student_loan_cap is not None and self.student_loan_cap < zero:
+        if self.student_loan_cap is not None and self.student_loan_cap.cents < 0:
             raise ValueError(f"student_loan_k must be non-negative, got {self.student_loan_cap}")
         check_value("tax_year", self.tax_year)
 

@@ -28,8 +28,7 @@ def last_true(
     left-continuous).  Returns the point and the bracket trace
     ``((a0, b0), (a1, b1), ...)``; when ``pred`` holds at ``hi`` that is
     ``hi`` with an empty trace.  Each midpoint is ``(a + b) / 2`` rounded
-    half away from zero to a multiple of ``step``, then moved one unit
-    into the open bracket if rounding put it on an end.  The search stops
+    half away from zero to a multiple of ``step``.  The search stops
     once ``b - a <= step``, so the result ``a`` satisfies ``pred(a)``
     while ``pred`` fails at every point from ``a + step`` on: with
     ``step == 1`` it is the exact last point.
@@ -46,10 +45,6 @@ def last_true(
     trace = [(a, b)]
     while b - a > step:
         mid = step * div_half_away(a + b, 2 * step)
-        if mid <= a:
-            mid = a + 1
-        elif mid >= b:
-            mid = b - 1
         if pred(mid):
             a = mid
         else:

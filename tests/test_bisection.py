@@ -21,10 +21,12 @@ from ptcsolver import (
     last_true,
     liminf_deduction,
     optimal_deduction,
+    reconcile,
     run_iteration,
     tax_year_params,
     whole_dollar_view,
 )
+from ptcsolver import bisection
 from ptcsolver.iteration import IterationStatus
 from ptcsolver.money import Money
 
@@ -87,6 +89,37 @@ def test_last_true_dollar_step():
     assert trace[:3] == ((0, 10000), (5000, 10000), (5000, 7500))
     assert all(a % 100 == 0 and b % 100 == 0 for a, b in trace)
     assert trace[-1][1] - trace[-1][0] <= 100
+
+
+class _Probe(Exception):
+    pass
+
+
+def _first_midpoint(lo: int, hi: int, step: int) -> int | None:
+    def pred(x: int) -> bool:
+        if x in (lo, hi):
+            return x == lo
+        raise _Probe(x)
+
+    try:
+        last_true(pred, lo, hi, step)
+    except _Probe as probe:
+        return probe.args[0]
+    return None
+
+
+@pytest.mark.parametrize("step", [1, 100])
+def test_last_true_midpoints_land_strictly_inside(step):
+    # Every bracket [lo, hi] with hi - lo <= 450, lo a multiple of step or
+    # not, negative or not: rounding the midpoint to a multiple of step
+    # never puts it on an end.
+    for lo in range(-300, 101):
+        for hi in range(lo + 1, lo + 451):
+            mid = _first_midpoint(lo, hi, step)
+            if hi - lo <= step:
+                assert mid is None
+            else:
+                assert lo < mid < hi and mid % step == 0, (lo, hi)
 
 
 def test_brooklyn_paper_mode(brooklyn_dollar_ctx):
@@ -222,6 +255,35 @@ def test_solve_builds_money_independent_of_steps(monkeypatch, brooklyn, params_2
             solution.trace
             assert len(built) == 42
     assert counts["cent"] == counts["dollar"] == counts[SolveMethod.BOUNDARY_B0]
+
+
+@pytest.mark.parametrize(
+    "branch,extra",
+    # Beyond the probes: the credit at d, at d + $1 for the certificate and at
+    # whole dollars; boundary and ineligible certificates have no d + $1.
+    [
+        ("cent", 3),
+        ("dollar", 3),
+        (SolveMethod.BOUNDARY_B0, 2),
+        (SolveMethod.INELIGIBLE_FULL_DEDUCTION, 2),
+    ],
+)
+def test_filed_return_kernel_calls(monkeypatch, brooklyn, params_2018, branch, extra):
+    # Only the search probes the kernel: no sampling check rides along.
+    ctx = _branch_contexts(brooklyn, params_2018)[branch]
+    kernel = ctx.credit_cents
+    calls, probes = [], []
+    vars(ctx)["credit_cents"] = lambda dc: calls.append(dc) or kernel(dc)
+
+    def counted_last_true(pred, lo, hi, step):
+        return last_true(lambda x: probes.append(x) or pred(x), lo, hi, step)
+
+    monkeypatch.setattr(bisection, "last_true", counted_last_true)
+    solution = optimal_deduction(ctx)
+    reconcile(ctx, solution)
+    whole_dollar_view(ctx, solution)
+    assert solution.method is (SolveMethod.BISECTION if isinstance(branch, str) else branch)
+    assert len(calls) == len(probes) + extra
 
 
 def test_aptc_equal_to_premium(params_2018, brooklyn):

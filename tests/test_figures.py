@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptcsolver import BREAKPOINTS, FigureTable, applicable_figure
+from ptcsolver import (
+    BREAKPOINTS,
+    FigureTable,
+    PtcContext,
+    TaxYearParams,
+    applicable_figure,
+    bisection,
+    optimal_deduction,
+    tax_year_params,
+)
+from ptcsolver.figures import check_monotone_rows
 
 F = Fraction
 EPS = F(1, 10**9)
@@ -108,3 +118,74 @@ def test_table_validation():
     # A constant table is legal: used for single-figure illustrations.
     flat = FigureTable.from_decimals(*["0.09"] * 6)
     assert applicable_figure(F(4), flat) == F("0.09")
+
+
+def _bypassed(values=KNOTS_2018, segments=None) -> FigureTable:
+    """A table built around ``__post_init__``, optionally with its rows set directly."""
+    table = object.__new__(FigureTable)
+    for name, value in zip("jklabc", values):
+        object.__setattr__(table, name, F(value))
+    if segments is not None:
+        vars(table)["segments"] = segments
+    return table
+
+
+def _with_row(i: int, row) -> tuple:
+    rows = list(FigureTable.from_decimals(*KNOTS_2018).segments)
+    rows[i] = row
+    return tuple(rows)
+
+
+def _knots_with(i: int, value: str) -> tuple[str, ...]:
+    knots = list(KNOTS_2018)
+    knots[i] = value
+    return tuple(knots)
+
+
+# One hostile table per row, each with the figure falling somewhere in it,
+# plus a drop at the 133% jump and figures that are not positive: each
+# case's table and the row check's complaint.
+FALLS = "figure decreases with income"
+ROW_0_FALLS = _with_row(0, (F(1), F("0.0201"), F("-0.001")))
+ROW_5_FALLS = _with_row(5, (F(3), F("0.0956"), F("-0.0001")))
+ROW_0_NEGATIVE_AT_0 = _with_row(0, (F(1), F("0.0201"), F("0.03")))
+BAD_TABLES = {
+    "row 0 falls": (lambda: _bypassed(segments=ROW_0_FALLS), f"row 0 .*{FALLS}"),
+    "row 1 falls": (lambda: _bypassed(_knots_with(2, "0.0300")), f"row 1 .*{FALLS}"),
+    "row 2 falls": (lambda: _bypassed(_knots_with(3, "0.0400")), f"row 2 .*{FALLS}"),
+    "row 3 falls": (lambda: _bypassed(_knots_with(4, "0.0600")), f"row 3 .*{FALLS}"),
+    "row 4 falls": (lambda: _bypassed(_knots_with(5, "0.0800")), f"row 4 .*{FALLS}"),
+    "row 5 falls": (lambda: _bypassed(segments=ROW_5_FALLS), f"row 5 .*{FALLS}"),
+    "drop at the jump": (lambda: _bypassed(_knots_with(1, "0.0200")), "row 1 .*below the previous"),
+    "zero figure": (lambda: _bypassed(_knots_with(0, "0")), "row 0 .*must be positive"),
+    "negative below the poverty line": (
+        lambda: _bypassed(segments=ROW_0_NEGATIVE_AT_0),
+        "row 0 .*must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_non_monotone_table_is_rejected_before_any_solve(case, monkeypatch, brooklyn):
+    def no_search(*args):
+        raise AssertionError("the search ran on a table that is not monotone")
+
+    monkeypatch.setattr(bisection, "last_true", no_search)
+    build, complaint = BAD_TABLES[case]
+    params = TaxYearParams("2018", build(), tax_year_params("2018").repayment_table)
+    with pytest.raises(ValueError, match=f"figure {complaint}"):
+        optimal_deduction(PtcContext(brooklyn, params))
+
+
+@pytest.mark.parametrize("den", [0, -1, -10000])
+def test_row_denominator_must_be_positive(table_2018, den):
+    rows = list(table_2018.integer_segments)
+    a, b, _ = rows[2]
+    rows[2] = (a, b, den)
+    with pytest.raises(ValueError, match="figure row 2 .*denominator must be positive"):
+        check_monotone_rows(tuple(rows))
+
+
+def test_valid_tables_pass_the_row_check(table_2018, table_2019):
+    for table in (table_2018, table_2019, FigureTable.from_decimals(*["0.09"] * 6)):
+        assert check_monotone_rows(table.integer_segments) == table.integer_segments

@@ -15,6 +15,13 @@ from ptcsolver.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# Overrides every key of the Brooklyn file: $3,015 of a $4,001 premium advanced.
+APTC_CASE = [
+    arg
+    for kv in ("F=15706", "P=4001", "Q=4001", "I=26163", "tax_year=2018", "APTC=3015")
+    for arg in ("--set", kv)
+]
+
 # case name -> (subcommand and options, exit code)
 CASES = {
     "solve_cent": (["solve"], 0),
@@ -33,6 +40,11 @@ CASES = {
     "compare_cent_json": (["compare", "--json"], 0),
     "compare_dollar": (["compare", "--mode", "dollar"], 0),
     "compare_dollar_json": (["compare", "--mode", "dollar", "--json"], 0),
+    # Advance payments where the guidance's map used to leave [0, Q - APTC].
+    "iterate_aptc": (["iterate", "--trace", *APTC_CASE], 0),
+    "iterate_aptc_json": (["iterate", "--json", *APTC_CASE], 0),
+    "compare_aptc": (["compare", *APTC_CASE], 0),
+    "compare_aptc_json": (["compare", "--json", *APTC_CASE], 0),
     # The criterion-8 sweep, and the criterion-9 sweep in cents and dollar mode.
     "scan_criterion8": (["scan", "--from", "60000", "--to", "75000", "--step", "50"], 0),
     "scan_criterion9": (

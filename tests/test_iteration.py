@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -15,8 +16,11 @@ from ptcsolver import (
     simplified_method,
     step,
 )
+from ptcsolver.cli import main
 from ptcsolver.iteration import default_start, sup_gap
 from ptcsolver.money import Money
+from ptcsolver.ptc import ptc_of_deduction
+from ptcsolver.scenario import dump_scenario
 
 D = Money.from_dollars
 
@@ -188,3 +192,69 @@ def test_custom_start_respected(brooklyn_dollar_ctx):
     outcome = run_iteration(brooklyn_dollar_ctx, start=custom)
     assert outcome.trace[0] == custom
     assert not outcome.start_clamped
+
+
+def _advance_payment_scenario(rng: random.Random) -> Scenario:
+    # Odd cents on every amount, and APTC drawn over all of [0, Q].
+    f = rng.randrange(1_200_000, 4_500_000)
+    q = rng.randrange(50_000, 1_500_000)
+    return Scenario(
+        poverty_line=Money(f),
+        benchmark_premium=Money(max(100, q * rng.randrange(60, 131) // 100)),
+        purchased_premium=Money(q),
+        income=Money(max(q, f * rng.randrange(70, 450) // 100)),
+        tax_year="2018",
+        advance_credit=Money(rng.randrange(0, q + 1)),
+        other_deductions=Money(rng.choice((0, 0, 123_456))),
+        below_poverty_exception=rng.random() < 0.2,
+        student_loan_cap=None if rng.random() < 0.8 else Money(180_001),
+    )
+
+
+@pytest.mark.parametrize("mode", list(RoundingMode))
+def test_iterates_stay_in_billed_domain_with_advance_payments(mode, params_2018):
+    # Every iterate, the simplified method's deduction and the liminf that
+    # compare credits lie in [0, Q - APTC], so ptc_of_deduction accepts them.
+    rng = random.Random(19)
+    for _ in range(2000):
+        sc = _advance_payment_scenario(rng)
+        ctx = PtcContext(sc, params_2018, mode)
+        outcome = run_iteration(ctx)
+        billed = sc.billed_balance
+        assert all(Money(0) <= p.deduction <= billed for p in outcome.trace), sc
+        assert Money(0) <= simplified_method(ctx)[0] <= billed, sc
+        if outcome.status is not IterationStatus.BUDGET_EXHAUSTED:
+            ptc_of_deduction(ctx, liminf_deduction(outcome))
+
+
+def test_step_caps_q_minus_credit_at_the_billed_balance(params_2018):
+    # The cap at Q - APTC leaves the guidance's map alone when nothing is
+    # advanced, and binds with APTC: the reproducer's first step.
+    rng = random.Random(5)
+    for _ in range(200):
+        sc = dataclasses.replace(_advance_payment_scenario(rng), advance_credit=Money(0))
+        ctx = PtcContext(sc, params_2018)
+        d = Money(rng.randrange(0, sc.purchased_premium.cents + 1))
+        nxt = step(ctx, IterationPoint(D(0), d, 1))
+        assert nxt.deduction == sc.purchased_premium - nxt.credit
+    sc = Scenario(
+        poverty_line=D(15706),
+        benchmark_premium=D(4001),
+        purchased_premium=D(4001),
+        income=D(26163),
+        tax_year="2018",
+        advance_credit=D(3015),
+    )
+    nxt = step(PtcContext(sc, params_2018), IterationPoint(D(0), D(986), 1))
+    assert (nxt.credit, nxt.deduction) == (D("2866.54"), D(986))
+
+
+@pytest.mark.parametrize("mode", ["cent", "dollar"])
+def test_compare_exits_zero_with_advance_payments(mode, tmp_path, capsys):
+    rng = random.Random(41)
+    path = tmp_path / "aptc.scenario"
+    for _ in range(15):
+        sc = _advance_payment_scenario(rng)
+        path.write_text(dump_scenario(sc), encoding="utf-8")
+        assert main(["compare", str(path), "--mode", mode]) == 0, sc
+    capsys.readouterr()

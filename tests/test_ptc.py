@@ -15,6 +15,7 @@ from ptcsolver import (
     PtcContext,
     RoundingMode,
     Scenario,
+    applicable_figure,
     expected_contribution,
     household_income,
     ptc_base,
@@ -22,8 +23,9 @@ from ptcsolver import (
     student_loan_deduction,
     tax_year_params,
 )
+from ptcsolver import ptc
 from ptcsolver.params import RepaymentTable, TaxYearParams
-from ptcsolver.money import Money, div_half_away
+from ptcsolver.money import Money, div_half_away, money_ratio, round_money
 from ptcsolver.ptc import (
     chained_household_income,
     chained_income_cents,
@@ -255,6 +257,57 @@ def test_kernel_matches_reference(seed, params_2018, params_2019):
                     assert ptc_of_deduction(ctx, d) == ptc_of_deduction_reference(ctx, d), (
                         sc, params.year, mode, dc,
                     )
+
+
+def _reference_by_steps(ctx: PtcContext, deduction: Money) -> Money:
+    """The reference credit as the public operations compose it, each with its checks."""
+    sc = ctx.scenario
+    income = chained_household_income(ctx, deduction)
+    if income < Money(0):
+        return Money(0)
+    m = money_ratio(income, sc.poverty_line)
+    if m > BREAKPOINTS[-1] or (m < BREAKPOINTS[0] and not sc.below_poverty_exception):
+        return Money(0)
+    figure = applicable_figure(m, ctx.params.figure_table)
+    contribution = expected_contribution(income, figure, ctx.rounding)
+    remainder = round_money((sc.benchmark_premium - contribution).dollars, ctx.rounding)
+    return min(sc.purchased_premium, max(Money(0), remainder))
+
+
+@pytest.mark.parametrize("mode", list(RoundingMode))
+def test_reference_matches_step_by_step_composition(mode, params_2018, params_2019):
+    # 2,000 seeded (context, deduction) points per mode, a fifth of them on
+    # a breakpoint cut or one cent beside it.
+    rng = random.Random(26)
+    checked = 0
+    while checked < 2000:
+        sc = _random_scenario(rng)
+        ctx = PtcContext(sc, rng.choice((params_2018, params_2019)), mode)
+        upper = sc.billed_balance.cents
+        cut = math.ceil(rng.choice(BREAKPOINTS) * sc.poverty_line.cents)
+        on_cut = max_deduction_for_income_floor(ctx, Money(cut)).cents
+        points = [rng.randrange(0, upper + 1) for _ in range(8)] + [on_cut - 1, on_cut]
+        for dc in points:
+            d = Money(min(max(dc, 0), upper))
+            assert ptc_of_deduction_reference(ctx, d) == _reference_by_steps(ctx, d), (sc, mode, d)
+            checked += 1
+
+
+def test_reference_reads_nothing_of_the_integer_kernel(monkeypatch, brooklyn):
+    def forbidden(*args):
+        raise AssertionError("the reference called the integer kernel")
+
+    monkeypatch.setattr(ptc, "chained_income_cents", forbidden)
+    monkeypatch.setattr(ptc, "cent_cuts", forbidden)
+    table = FigureTable.from_decimals("0.0201", "0.0302", "0.0403", "0.0634", "0.0810", "0.0956")
+    params = TaxYearParams("2018", table, tax_year_params("2018").repayment_table)
+    sc = dataclasses.replace(brooklyn, student_loan_cap=D(2500), below_poverty_exception=True)
+    for mode in RoundingMode:
+        ctx = PtcContext(sc, params, mode)
+        credits = [ptc_of_deduction_reference(ctx, D(d)) for d in range(0, 10391, 1000)]
+        assert len(set(credits)) > 1
+        assert "credit_cents" not in vars(ctx)
+    assert "integer_segments" not in vars(table)
 
 
 @given(dc=st.integers(min_value=0, max_value=1039000))
