@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TextIO
 
 from .bisection import optimal_deduction, search_domain_upper
-from .iteration import IterationStatus, run_iteration, simplified_method
+from .iteration import IterationStatus, _simplified, run_iteration
 from .money import Money, RoundingMode, round_cents
 from .params import TaxYearParams
 from .ptc import PtcContext
@@ -101,7 +101,7 @@ def scan_point(template: Scenario, income: Money, params: TaxYearParams,
 def _scan_scenario(scenario: Scenario, params: TaxYearParams, rounding: RoundingMode) -> ScanRecord:
     ctx = PtcContext(scenario, params, rounding)
     outcome = run_iteration(ctx, max_iter=2000)
-    _, simplified_credit = simplified_method(ctx)
+    _, simplified_credit = _simplified(ctx, outcome.pairs)
     solution = optimal_deduction(ctx)
     oracle_d = brute_force_max_feasible(ctx, Money(100))
     slack = ctx.scenario.purchased_premium - (solution.deduction + solution.ptc)

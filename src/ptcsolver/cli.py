@@ -169,13 +169,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _iterate_json(ctx: PtcContext, outcome: IterationOutcome) -> dict:
-    from .iteration import simplified_method
-
+def _iterate_json(outcome: IterationOutcome, d2: Money, c3: Money) -> dict:
     def point(p) -> dict:
         return {"n": p.index, "c": p.credit.as_decimal(), "d": p.deduction.as_decimal()}
 
-    d2, c3 = simplified_method(ctx)
     return {
         "status": outcome.status.value,
         "settled": None if outcome.settled is None else point(outcome.settled),
@@ -195,18 +192,19 @@ def _check_max_iter(args: argparse.Namespace) -> None:
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
-    from .iteration import IterationStatus, liminf_deduction, run_iteration, simplified_method
+    from .iteration import IterationStatus, _simplified, liminf_deduction, run_iteration
 
     _check_max_iter(args)
     ctx = _context(args)
     outcome = run_iteration(ctx, max_iter=args.max_iter)
+    d2, c3 = _simplified(ctx, outcome.pairs)
     code = {
         IterationStatus.CONVERGED_IRS_SENSE: EXIT_OK,
         IterationStatus.DIVERGED_DO_NOT_USE: EXIT_DIVERGED,
         IterationStatus.BUDGET_EXHAUSTED: EXIT_BUDGET,
     }[outcome.status]
     if args.json:
-        print(canonical_json(_iterate_json(ctx, outcome)))
+        print(canonical_json(_iterate_json(outcome, d2, c3)))
         return code
 
     print(f"status: {outcome.status.value}")
@@ -224,19 +222,18 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         print(f"cycle of period {outcome.cycle.period}: {pts}")
     if outcome.status is not IterationStatus.BUDGET_EXHAUSTED:
         print(f"liminf deduction: {liminf_deduction(outcome)}")
-    d2, c3 = simplified_method(ctx)
     print(f"simplified method: deduction {d2}, credit {c3}")
     return code
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .analysis import brute_force_max_feasible
-    from .iteration import IterationStatus, liminf_deduction, run_iteration, simplified_method
+    from .iteration import IterationStatus, _simplified, liminf_deduction, run_iteration
 
     _check_max_iter(args)
     ctx = _context(args)
     outcome = run_iteration(ctx, max_iter=args.max_iter)
-    d2, c3 = simplified_method(ctx)
+    d2, c3 = _simplified(ctx, outcome.pairs)
     solution = optimal_deduction(ctx)
     oracle_d = brute_force_max_feasible(ctx, Money(100))
     gap = solution.ptc - c3

@@ -4,23 +4,23 @@ Guidance (Publication 974) resolves the deduction/credit circularity with
 a fixed-point iteration: from a trial deduction, compute the credit, then
 set the next deduction to the billed premium minus that credit, and
 repeat.  Convergence is declared in the guidance's own sense: iterates
-settle once a pair of successive points is within $1 in the sup norm.  If
-instead the sequence revisits an exact prior state without ever closing
-to within $1, the guidance's "do not use this method" condition has been
-met; because every trace lives on the cent lattice, one of the two always
-happens.
+settle once a pair of successive points is within $1 in the sup norm.  A
+run that instead returns to the pair two steps back has closed a cycle of
+period 2 without ever closing to within $1: the guidance's "do not use
+this method" condition.  Every run ends one of these two ways (see
+:func:`run_iteration`), though a step budget can run out first.
 
-This module reproduces that behavior as-is, including the divergence.  It
-makes no attempt to rescue non-convergent cases; that is the bisection
-solver's job.
+This module reproduces that behavior as-is, on integer cents, including
+the divergence.  Rescuing non-convergent cases is the bisection solver's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .bisection import search_domain_upper
+from .bisection import _upper_cents
 from .money import Money, round_cents
 from .ptc import PtcContext
 
@@ -50,12 +50,15 @@ class Cycle:
 
 @dataclass(frozen=True)
 class IterationOutcome:
+    """How a run ended, with its (credit, deduction) cents from step ``first`` on."""
+
     status: IterationStatus
-    trace: tuple[IterationPoint, ...]
+    pairs: tuple[tuple[int, int], ...]
     settled: IterationPoint | None = None
     liminf_d: Money | None = None
     cycle: Cycle | None = None
     start_clamped: bool = False
+    first: int = 1
 
     def __post_init__(self) -> None:
         if self.status is IterationStatus.CONVERGED_IRS_SENSE and self.settled is None:
@@ -63,97 +66,99 @@ class IterationOutcome:
         if self.status is IterationStatus.DIVERGED_DO_NOT_USE and self.liminf_d is None:
             raise ValueError("diverged outcome must carry the liminf deduction")
 
+    @cached_property
+    def trace(self) -> tuple[IterationPoint, ...]:
+        """The pairs as iterates, built on first read and kept."""
+        return tuple(_point(pair, self.first + k) for k, pair in enumerate(self.pairs))
 
-def sup_gap(p: IterationPoint, q: IterationPoint) -> Money:
-    """Sup-norm distance between two iterates."""
-    return Money(max(abs(p.credit.cents - q.credit.cents), abs(p.deduction.cents - q.deduction.cents)))
+
+def _point(pair: tuple[int, int], index: int) -> IterationPoint:
+    return IterationPoint(Money(pair[0]), Money(pair[1]), index)
 
 
-def default_start(ctx: PtcContext) -> tuple[IterationPoint, bool]:
-    """The guidance's starting point, and whether it had to be clamped.
+def default_start(ctx: PtcContext) -> tuple[int, bool]:
+    """The guidance's starting deduction in cents, and whether it was clamped.
 
     Guidance starts at (credit $0, deduction = billed balance) whenever
     that leaves the household credit-eligible.  For lower incomes the
     starting deduction is clamped to keep the first income evaluation
     eligible; the clamp is recorded so callers can surface it.
     """
-    billed = ctx.scenario.billed_balance
-    start = search_domain_upper(ctx)
-    if start >= billed:
-        return IterationPoint(Money(0), billed, 1), False
-    return IterationPoint(Money(0), max(Money(0), start), 1), True
+    billed, upper = ctx.scenario.billed_balance.cents, _upper_cents(ctx.scenario)
+    return (billed, False) if upper >= billed else (max(0, upper), True)
+
+
+def _map(ctx: PtcContext, d: int) -> tuple[int, int]:
+    """The guidance's map on cents: d -> (PTC(d), min(B, Q - PTC(d))).
+
+    Rev. Proc. 2014-41, restated in Publication 974, alternates the credit
+    at the current deduction and a deduction of the premiums the credit
+    does not cover, Q - PTC(d), each rounded per the context's mode; the
+    rounded credit is capped at Q.  Advance payments (APTC) enter only as
+    a cap: no deduction exceeds the billed balance B = Q - APTC, so every
+    iterate stays in [0, B], the solver's domain.
+    """
+    sc = ctx.scenario
+    q = sc.purchased_premium.cents
+    c = min(q, round_cents(ctx.credit_cents(d), ctx.rounding))
+    return c, min(q - sc.advance_credit.cents, max(0, round_cents(q - c, ctx.rounding)))
 
 
 def step(ctx: PtcContext, point: IterationPoint) -> IterationPoint:
-    """Apply the guidance's map once: (c, d) -> (PTC(d), min(B, Q - PTC(d))).
-
-    The iterative calculation of Rev. Proc. 2014-41, restated in
-    Publication 974, alternates two steps: the credit at the current
-    deduction, then a deduction of the premiums the credit does not
-    cover, Q - PTC(d).  Both are rounded per the context's mode.  Advance
-    payments (APTC) enter only as a cap: the deduction never exceeds the
-    billed balance B = Q - APTC, the premiums the household paid itself.
-    Every iterate stays in [0, B], the solver's domain; without advance
-    payments B = Q, and the clamp binds only where rounding to whole
-    dollars would carry the deduction past 0 or Q.
-    """
-    sc = ctx.scenario
-    credit_c = round_cents(ctx.credit_cents(point.deduction.cents), ctx.rounding)
-    deduction_c = round_cents(sc.purchased_premium.cents - credit_c, ctx.rounding)
-    deduction_c = min(sc.billed_balance.cents, max(0, deduction_c))
-    return IterationPoint(Money(credit_c), Money(deduction_c), point.index + 1)
+    """Apply the guidance's map once: (c, d) -> (PTC(d), min(B, Q - PTC(d)))."""
+    c, d = _map(ctx, point.deduction.cents)
+    return IterationPoint(Money(c), Money(d), point.index + 1)
 
 
-def run_iteration(
-    ctx: PtcContext,
-    start: IterationPoint | None = None,
-    max_iter: int = 500,
-) -> IterationOutcome:
+def run_iteration(ctx: PtcContext, start: IterationPoint | None = None, max_iter: int = 500) -> IterationOutcome:
     """Run the iterative calculation method to a definite outcome.
 
-    Stops with CONVERGED_IRS_SENSE at the first step whose sup-norm gap
-    from the previous iterate is under $1, returning that iterate as
-    settled.  Stops with DIVERGED_DO_NOT_USE on an exact revisit of a
-    prior state with no gap ever under $1, recording the cycle and the
-    smallest deduction it contains (the liminf of the tail).  Returns
-    BUDGET_EXHAUSTED only if ``max_iter`` steps pass without either;
-    callers should treat that as "raise max_iter", not as success.
+    Stops with CONVERGED_IRS_SENSE at the first step within $1 (sup norm)
+    of the previous iterate, which is returned as settled, and with
+    DIVERGED_DO_NOT_USE at the first step that returns to the pair two
+    steps back, recording that cycle and its smallest deduction (the
+    liminf of the tail).
+
+    Only these two outcomes occur.  On [0, U], U the largest deduction
+    that keeps the household eligible from below, the credit never
+    decreases, so the map's deduction T(d) never increases and T(T(d))
+    never decreases.  Above U, T(d) = B and the run settles one step
+    later.  So the odd and the even deductions are each monotone on a
+    finite lattice, and every run settles or closes a 2-cycle.  That
+    bounds the period, not the number of steps: BUDGET_EXHAUSTED means
+    ``max_iter`` steps passed first, and callers should raise it.
     """
     if max_iter < 2:
         raise ValueError("max_iter must be at least 2")
-    current, clamped = default_start(ctx) if start is None else (start, False)
-
-    dollar = Money(100)
-    trace = [current]
-    seen: dict[tuple[int, int], int] = {(current.credit.cents, current.deduction.cents): 0}
+    if start is None:
+        d, clamped = default_start(ctx)
+        pairs, first = [(0, d)], 1
+    else:
+        pairs, first, clamped = [(start.credit.cents, start.deduction.cents)], start.index, False
+    c, d = pairs[0]
     for _ in range(max_iter):
-        nxt = step(ctx, current)
-        trace.append(nxt)
-        if sup_gap(nxt, current) < dollar:
-            return IterationOutcome(
-                status=IterationStatus.CONVERGED_IRS_SENSE,
-                trace=tuple(trace),
-                settled=nxt,
-                liminf_d=nxt.deduction,
-                start_clamped=clamped,
-            )
-        state = (nxt.credit.cents, nxt.deduction.cents)
-        if state in seen:
-            cycle_points = tuple(trace[seen[state]:-1])
-            return IterationOutcome(
-                status=IterationStatus.DIVERGED_DO_NOT_USE,
-                trace=tuple(trace),
-                liminf_d=min(p.deduction for p in cycle_points),
-                cycle=Cycle(period=len(cycle_points), points=cycle_points),
-                start_clamped=clamped,
-            )
-        seen[state] = len(trace) - 1
-        current = nxt
-    return IterationOutcome(
-        status=IterationStatus.BUDGET_EXHAUSTED,
-        trace=tuple(trace),
-        start_clamped=clamped,
-    )
+        nxt = _map(ctx, d)
+        pairs.append(nxt)
+        n = first + len(pairs) - 1
+        if abs(nxt[0] - c) < 100 and abs(nxt[1] - d) < 100:
+            settled = _point(nxt, n)
+            return IterationOutcome(IterationStatus.CONVERGED_IRS_SENSE, tuple(pairs), settled,
+                                    settled.deduction, start_clamped=clamped, first=first)
+        if len(pairs) > 2 and pairs[-3] == nxt:
+            points = (_point(pairs[-3], n - 2), _point(pairs[-2], n - 1))
+            return IterationOutcome(IterationStatus.DIVERGED_DO_NOT_USE, tuple(pairs),
+                                    liminf_d=min(p.deduction for p in points), cycle=Cycle(2, points),
+                                    start_clamped=clamped, first=first)
+        c, d = nxt
+    return IterationOutcome(IterationStatus.BUDGET_EXHAUSTED, tuple(pairs), start_clamped=clamped, first=first)
+
+
+def _simplified(ctx: PtcContext, pairs: tuple[tuple[int, int], ...]) -> tuple[Money, Money]:
+    """(d2, c3) from the pairs of a default-start run; a run that settled
+    at step two takes the one more step the method reads."""
+    if len(pairs) < 3:
+        pairs = (*pairs, _map(ctx, pairs[-1][1]))
+    return Money(pairs[1][1]), Money(pairs[2][0])
 
 
 def simplified_method(ctx: PtcContext) -> tuple[Money, Money]:
@@ -162,10 +167,7 @@ def simplified_method(ctx: PtcContext) -> tuple[Money, Money]:
     This is what tax software reports when the iteration must not be
     used; it can understate the credit substantially.
     """
-    first, _ = default_start(ctx)
-    second = step(ctx, first)
-    third = step(ctx, second)
-    return second.deduction, third.credit
+    return _simplified(ctx, run_iteration(ctx, max_iter=2).pairs)
 
 
 def liminf_deduction(outcome: IterationOutcome) -> Money:
@@ -175,10 +177,6 @@ def liminf_deduction(outcome: IterationOutcome) -> Money:
     cycle, the smallest deduction in the cycle.  Refuses on a
     budget-exhausted outcome rather than guessing.
     """
-    if outcome.status is IterationStatus.CONVERGED_IRS_SENSE:
-        assert outcome.settled is not None
-        return outcome.settled.deduction
-    if outcome.status is IterationStatus.DIVERGED_DO_NOT_USE:
-        assert outcome.liminf_d is not None
-        return outcome.liminf_d
-    raise ValueError("no liminf available: iteration budget was exhausted before an outcome")
+    if outcome.status is IterationStatus.BUDGET_EXHAUSTED:
+        raise ValueError("no liminf available: iteration budget was exhausted before an outcome")
+    return outcome.settled.deduction if outcome.settled else outcome.liminf_d

@@ -285,6 +285,34 @@ def test_criterion_10_even_subsequence_monotonicity():
     _report(10, f"D2 <= D4 <= D6 <= ... held on all {checked} traces from criteria 1, 6, 8")
 
 
+def test_criterion_10_odd_subsequence_monotonicity():
+    # D1 >= D3 >= D5 >= ... while the deductions stay at or below U, the
+    # largest one that keeps the household eligible from below.  Only a
+    # clamped start (D1 = U < B) can leave that range; the step after an
+    # iterate above U deducts B with no credit, and the run settles there.
+    params = tax_year_params("2018")
+    rng = random.Random(20180962)
+    contexts = [PtcContext(_random_scenario(rng), params) for _ in range(1000)]
+    income = D(60000)
+    while income <= D(75000):
+        contexts.append(PtcContext(_brooklyn().with_income(income), params))
+        income = income + D(50)
+    left = 0
+    for ctx in contexts:
+        outcome = run_iteration(ctx)
+        upper, billed = search_domain_upper(ctx), ctx.scenario.billed_balance
+        deductions = [p.deduction for p in outcome.trace]
+        stay = next((k for k, d in enumerate(deductions) if d > upper), len(deductions))
+        odds = deductions[:stay:2]
+        assert all(a >= b for a, b in zip(odds, odds[1:])), ctx.scenario
+        if stay < len(deductions):
+            assert outcome.start_clamped and deductions[stay + 1:] == [billed, billed], ctx.scenario
+            assert outcome.status is IterationStatus.CONVERGED_IRS_SENSE
+            left += 1
+    _report(10, f"D1 >= D3 >= D5 >= ... held on all {len(contexts)} traces from criteria 6 and 8 "
+                f"while D <= U; {left} clamped starts left [0, U] and settled at B")
+
+
 def test_criterion_11_reconciliation_bounds():
     params = tax_year_params("2019")
     rng = random.Random(1125)

@@ -15,12 +15,20 @@ from ptcsolver.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+
+def _sets(*pairs: str) -> list[str]:
+    return [arg for kv in pairs for arg in ("--set", kv)]
+
+
 # Overrides every key of the Brooklyn file: $3,015 of a $4,001 premium advanced.
-APTC_CASE = [
-    arg
-    for kv in ("F=15706", "P=4001", "Q=4001", "I=26163", "tax_year=2018", "APTC=3015")
-    for arg in ("--set", kv)
-]
+APTC_CASE = _sets("F=15706", "P=4001", "Q=4001", "I=26163", "tax_year=2018", "APTC=3015")
+# Dollar mode, and a credit the kernel clamps at Q = $9,735.50.
+Q_CAP_CASE = ["--mode", "dollar", *_sets(
+    "F=41628.62", "P=12169.37", "Q=9735.50", "I=54117.20", "tax_year=2018", "APTC=2621.15",
+    "below_poverty_exception=true")]
+# tests/test_reconcile.py's 2019 worked example: a $1,200 shortfall capped at $800.
+REPAY_CAPPED_CASE = ["--mode", "dollar", *_sets(
+    "F=20000", "P=8303", "Q=10000", "I=57000", "tax_year=2019", "APTC=5000")]
 
 # case name -> (subcommand and options, exit code)
 CASES = {
@@ -45,6 +53,16 @@ CASES = {
     "iterate_aptc_json": (["iterate", "--json", *APTC_CASE], 0),
     "compare_aptc": (["compare", *APTC_CASE], 0),
     "compare_aptc_json": (["compare", "--json", *APTC_CASE], 0),
+    # The rounded credit stays at or below Q.
+    "iterate_q_cap": (["iterate", "--trace", *Q_CAP_CASE], 0),
+    "iterate_q_cap_json": (["iterate", "--json", *Q_CAP_CASE], 0),
+    "compare_q_cap": (["compare", *Q_CAP_CASE], 0),
+    "compare_q_cap_json": (["compare", "--json", *Q_CAP_CASE], 0),
+    # Repayment of excess advance payments: the unlimited band and a capped band.
+    "solve_repay_unlimited": (["solve", *_sets("APTC=8000")], 0),
+    "solve_repay_unlimited_json": (["solve", "--json", *_sets("APTC=8000")], 0),
+    "solve_repay_capped": (["solve", *REPAY_CAPPED_CASE], 0),
+    "solve_repay_capped_json": (["solve", "--json", *REPAY_CAPPED_CASE], 0),
     # The criterion-8 sweep, and the criterion-9 sweep in cents and dollar mode.
     "scan_criterion8": (["scan", "--from", "60000", "--to", "75000", "--step", "50"], 0),
     "scan_criterion9": (

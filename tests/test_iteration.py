@@ -17,12 +17,17 @@ from ptcsolver import (
     step,
 )
 from ptcsolver.cli import main
-from ptcsolver.iteration import default_start, sup_gap
+from ptcsolver.iteration import IterationOutcome, _simplified, default_start
 from ptcsolver.money import Money
 from ptcsolver.ptc import ptc_of_deduction
 from ptcsolver.scenario import dump_scenario
 
 D = Money.from_dollars
+
+
+def sup_gap(p: IterationPoint, q: IterationPoint) -> Money:
+    """Sup-norm distance between two iterates."""
+    return Money(max(abs(p.credit.cents - q.credit.cents), abs(p.deduction.cents - q.deduction.cents)))
 
 
 def even_deductions(trace) -> list[Money]:
@@ -93,6 +98,13 @@ def test_credit_zero_converges_in_one_step(params_2018):
     assert outcome.settled is not None
     assert (outcome.settled.credit, outcome.settled.deduction) == (D(0), D(5000))
     assert len(outcome.trace) == 2
+
+
+def test_a_gap_of_exactly_one_dollar_does_not_settle(params_2018):
+    ctx = PtcContext(ptc_zero_scenario(), params_2018)
+    outcome = run_iteration(ctx, start=IterationPoint(D(0), D(4999), 1))
+    assert [p.deduction for p in outcome.trace] == [D(4999), D(5000), D(5000)]
+    assert outcome.settled == IterationPoint(D(0), D(5000), 3)
 
 
 def test_convergent_brooklyn_variant(brooklyn, params_2018):
@@ -181,7 +193,7 @@ def test_start_clamped_for_low_income(brooklyn, params_2018):
     ctx = PtcContext(sc, params_2018)
     start, clamped = default_start(ctx)
     assert clamped
-    assert start.deduction == D(22100 - 16240)
+    assert start == (22100 - 16240) * 100
     outcome = run_iteration(ctx)
     assert outcome.start_clamped
     assert_even_subsequence_monotone(outcome.trace)
@@ -258,3 +270,95 @@ def test_compare_exits_zero_with_advance_payments(mode, tmp_path, capsys):
         path.write_text(dump_scenario(sc), encoding="utf-8")
         assert main(["compare", str(path), "--mode", mode]) == 0, sc
     capsys.readouterr()
+
+
+def test_outcome_checks_converged_and_diverged_fields():
+    with pytest.raises(ValueError, match="settled point"):
+        IterationOutcome(IterationStatus.CONVERGED_IRS_SENSE, ((0, 500_000), (0, 500_000)))
+    with pytest.raises(ValueError, match="liminf"):
+        IterationOutcome(IterationStatus.DIVERGED_DO_NOT_USE, ((0, 500_000), (400, 100), (0, 500_000)))
+
+
+def reference_run(ctx: PtcContext, start: IterationPoint, max_iter: int):
+    """The generic detector: a gap under $1, or a revisit of any earlier state."""
+    trace = [start]
+    seen = {(start.credit, start.deduction): 0}
+    for _ in range(max_iter):
+        nxt = step(ctx, trace[-1])
+        trace.append(nxt)
+        if sup_gap(nxt, trace[-2]) < D(1):
+            return IterationStatus.CONVERGED_IRS_SENSE, tuple(trace), nxt, None, nxt.deduction
+        state = (nxt.credit, nxt.deduction)
+        if state in seen:
+            cycle = tuple(trace[seen[state]:-1])
+            return IterationStatus.DIVERGED_DO_NOT_USE, tuple(trace), None, cycle, min(p.deduction for p in cycle)
+        seen[state] = len(trace) - 1
+    return IterationStatus.BUDGET_EXHAUSTED, tuple(trace), None, None, None
+
+
+def assert_matches_reference(ctx: PtcContext, start: IterationPoint | None = None, max_iter: int = 500):
+    outcome = run_iteration(ctx, start, max_iter)
+    if start is None:
+        d, clamped = default_start(ctx)
+        start = IterationPoint(D(0), Money(d), 1)
+        assert outcome.start_clamped == clamped
+        second = step(ctx, start)
+        assert _simplified(ctx, outcome.pairs) == simplified_method(ctx) == (
+            second.deduction, step(ctx, second).credit)
+    status, trace, settled, cycle, liminf = reference_run(ctx, start, max_iter)
+    assert outcome.status is status
+    assert outcome.trace == trace
+    assert outcome.pairs == tuple((p.credit.cents, p.deduction.cents) for p in trace)
+    assert outcome.settled == settled
+    assert (outcome.cycle and outcome.cycle.points) == cycle
+    assert outcome.cycle is None or outcome.cycle.period == len(cycle) == 2
+    assert outcome.liminf_d == liminf
+    return outcome
+
+
+@pytest.mark.parametrize("mode", list(RoundingMode))
+def test_two_back_detector_matches_reference_on_seeded_scenarios(mode, params_2018):
+    # APTC over all of [0, Q], d0, student-loan caps and the exception, from
+    # the default start (clamped or not), a custom start and short budgets.
+    rng = random.Random(20)
+    statuses = {s: 0 for s in IterationStatus}
+    clamped = custom = 0
+    for _ in range(2000):
+        sc = _advance_payment_scenario(rng)
+        if rng.random() < 0.3:  # deductions in [0, B] straddle the 4F cliff, with credit below it
+            cliff = 4 * sc.poverty_line.cents + sc.other_deductions.cents
+            sc = dataclasses.replace(sc, income=Money(cliff + rng.randrange(sc.billed_balance.cents + 1)),
+                                     benchmark_premium=Money(sc.poverty_line.cents // 2))
+        ctx = PtcContext(sc, params_2018, mode)
+        budget = rng.choice((2, 3, 500, 500, 500, 500, 500, 500, 500, 500))
+        outcome = assert_matches_reference(ctx, max_iter=budget)
+        statuses[outcome.status] += 1
+        clamped += outcome.start_clamped
+        if rng.random() < 0.25:
+            q, billed = sc.purchased_premium.cents, sc.billed_balance.cents
+            start = IterationPoint(Money(rng.randrange(q + 1)), Money(rng.randrange(billed + 1)), rng.randrange(1, 6))
+            assert_matches_reference(ctx, start, budget)
+            custom += 1
+    assert min(statuses.values()) > 50 and clamped > 50 and custom > 300, (statuses, clamped, custom)
+
+
+@pytest.mark.parametrize("mode", list(RoundingMode))
+def test_two_back_detector_matches_reference_on_criterion_grids(mode, brooklyn, params_2018):
+    for lo, hi, grid in ((60000, 75000, 50), (21800, 22400, 10)):
+        for income in range(lo, hi + 1, grid):
+            assert_matches_reference(PtcContext(brooklyn.with_income(D(income)), params_2018, mode))
+
+
+def test_dollar_mode_credit_never_exceeds_the_premium(params_2018):
+    # The kernel clamps the credit at Q; rounding it to whole dollars must
+    # not carry it past a Q with 50 or more cents.
+    rng = random.Random(27)
+    at_q = 0
+    for _ in range(2000):
+        sc = _advance_payment_scenario(rng)
+        ctx = PtcContext(sc, params_2018, RoundingMode.DOLLAR)
+        q = sc.purchased_premium
+        credits = [p.credit for p in run_iteration(ctx).trace]
+        assert max(credits) <= q and simplified_method(ctx)[1] <= q, sc
+        at_q += q in credits and q.cents % 100 >= 50
+    assert at_q > 20, at_q
