@@ -2,7 +2,9 @@
 
 Scenarios come from a ``key = value`` file, from repeatable
 ``--set KEY=VALUE`` flags, or both (flags win key-by-key, so a file can
-serve as a sweep template).  Exit codes are a stable contract:
+serve as a sweep template).  ``solve``, ``iterate`` and ``compare`` each
+build one report of the command's values: ``--json`` prints it, and the
+text output is a view of the same report.  Exit codes are a stable contract:
 
 * 0 - success (for ``iterate``: converged)
 * 2 - invalid scenario or option value
@@ -21,15 +23,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from ._kv import DocumentError
-from .bisection import Solution, optimal_deduction, whole_dollar_view
+from .bisection import optimal_deduction, whole_dollar_view
 from .money import Money, RoundingMode
 from .params import TaxYearParams, load_tax_year_params, tax_year_params
 from .ptc import PtcContext, ptc_of_deduction
-from .reconcile import NetOutcome, Unlimited, reconcile
+from .reconcile import Unlimited, reconcile
 from .scenario import _FIELDS, Scenario, parse_scenario
 
 if TYPE_CHECKING:
-    from .iteration import IterationOutcome
+    from .iteration import IterationPoint
 
 EXIT_OK = 0
 EXIT_BAD_SCENARIO = 2
@@ -89,101 +91,68 @@ def _context(args: argparse.Namespace) -> PtcContext:
     return PtcContext(scenario, params, rounding)
 
 
-def canonical_json(payload: object) -> str:
-    """Stable rendering: parsing and re-rendering yields identical bytes."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _limitation_json(outcome: NetOutcome) -> object:
-    if outcome.limitation is None:
-        return None
-    if isinstance(outcome.limitation, Unlimited):
+def _report_value(value: object) -> str:
+    if isinstance(value, Money):
+        return value.as_decimal()
+    if isinstance(value, Unlimited):
         return "unlimited"
-    return outcome.limitation.as_decimal()
+    raise TypeError(f"{type(value).__name__} is not a report value")
 
 
-def _reconciliation_json(outcome: NetOutcome) -> dict:
-    return {
-        "additional_credit": outcome.additional_credit.as_decimal(),
-        "repayment": outcome.repayment.as_decimal(),
-        "total_benefit": None if outcome.total_benefit is None else outcome.total_benefit.as_decimal(),
-        "limitation": _limitation_json(outcome),
-    }
+def canonical_json(payload: object) -> str:
+    """Stable rendering: parsing and re-rendering yields identical bytes.
+    ``Money`` renders as ``"6208.00"``, ``UNLIMITED`` as ``"unlimited"``."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_report_value)
 
 
-def _solution_json(ctx: PtcContext, solution: Solution, whole: bool, trace: bool) -> dict:
-    payload = {
-        "d": solution.deduction.as_decimal(),
-        "ptc": solution.ptc.as_decimal(),
-        "method": solution.method.value,
-        "iterations": solution.iterations,
-        "certificate": {
-            "at": solution.certificate.value_at.as_decimal(),
-            "above": None
-            if solution.certificate.value_above is None
-            else solution.certificate.value_above.as_decimal(),
-            "threshold": solution.certificate.threshold.as_decimal(),
-        },
-        "reconciliation": _reconciliation_json(reconcile(ctx, solution)),
-    }
-    if whole:
-        d, ptc = whole_dollar_view(ctx, solution)
-        payload["whole_dollars"] = {"d": d.as_decimal(), "ptc": ptc.as_decimal()}
-    if trace:
-        payload["trace"] = [
-            {"k": k, "a": a.as_decimal(), "b": b.as_decimal()} for k, (a, b) in enumerate(solution.trace)
-        ]
-    return payload
-
-
-def _print_reconciliation(outcome: NetOutcome) -> None:
-    if outcome.repayment > Money(0) or outcome.total_benefit is not None:
-        limit = outcome.limitation
-        limit_text = repr(limit) if isinstance(limit, Unlimited) else str(limit)
-        print(f"repayment: {outcome.repayment} (limitation {limit_text})")
-        print(f"total benefit kept: {outcome.total_benefit}")
-    else:
-        print(f"additional credit at filing: {outcome.additional_credit}")
+def _print_csv(header: str, rows: list[dict]) -> None:
+    print(header)
+    for row in rows:
+        print(",".join(v.as_decimal() if isinstance(v, Money) else str(v) for v in row.values()))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     ctx = _context(args)
     solution = optimal_deduction(ctx)
-    if args.json:
-        print(canonical_json(_solution_json(ctx, solution, args.whole_dollars, args.trace)))
-        return EXIT_OK
-    print(f"deduction: {solution.deduction}")
-    print(f"credit:    {solution.ptc}")
-    print(f"method:    {solution.method.value} ({solution.iterations} bisection steps)")
-    if args.trace:
-        print("k,a,b")
-        for k, (a, b) in enumerate(solution.trace):
-            print(f"{k},{a.as_decimal()},{b.as_decimal()}")
-    cert = solution.certificate
-    above = "domain boundary" if cert.value_above is None else f"{cert.value_above} > Q"
-    print(f"certificate: d + PTC(d) = {cert.value_at} <= Q = {cert.threshold}; at d + $1: {above}")
+    cert, outcome = solution.certificate, reconcile(ctx, solution)
+    report = {
+        "d": solution.deduction,
+        "ptc": solution.ptc,
+        "method": solution.method.value,
+        "iterations": solution.iterations,
+        "certificate": {"at": cert.value_at, "above": cert.value_above, "threshold": cert.threshold},
+        "reconciliation": {"additional_credit": outcome.additional_credit, "repayment": outcome.repayment,
+                           "total_benefit": outcome.total_benefit, "limitation": outcome.limitation},
+    }
     if args.whole_dollars:
         d, ptc = whole_dollar_view(ctx, solution)
-        print(f"whole-dollar entry: deduction {d}, credit {ptc}")
-    _print_reconciliation(reconcile(ctx, solution))
+        report["whole_dollars"] = {"d": d, "ptc": ptc}
+    if args.trace:
+        report["trace"] = [{"k": k, "a": a, "b": b} for k, (a, b) in enumerate(solution.trace)]
+    if args.json:
+        print(canonical_json(report))
+    else:
+        _print_solve(report)
     return EXIT_OK
 
 
-def _iterate_json(outcome: IterationOutcome, d2: Money, c3: Money) -> dict:
-    def point(p) -> dict:
-        return {"n": p.index, "c": p.credit.as_decimal(), "d": p.deduction.as_decimal()}
-
-    return {
-        "status": outcome.status.value,
-        "settled": None if outcome.settled is None else point(outcome.settled),
-        "cycle": None
-        if outcome.cycle is None
-        else {"period": outcome.cycle.period, "points": [point(p) for p in outcome.cycle.points]},
-        "liminf_d": None if outcome.liminf_d is None else outcome.liminf_d.as_decimal(),
-        "simplified": {"d2": d2.as_decimal(), "c3": c3.as_decimal()},
-        "trace": [point(p) for p in outcome.trace],
-        "start_clamped": outcome.start_clamped,
-    }
+def _print_solve(r: dict) -> None:
+    print(f"deduction: {r['d']}")
+    print(f"credit:    {r['ptc']}")
+    print(f"method:    {r['method']} ({r['iterations']} bisection steps)")
+    if "trace" in r:
+        _print_csv("k,a,b", r["trace"])
+    cert = r["certificate"]
+    above = "domain boundary" if cert["above"] is None else f"{cert['above']} > Q"
+    print(f"certificate: d + PTC(d) = {cert['at']} <= Q = {cert['threshold']}; at d + $1: {above}")
+    if "whole_dollars" in r:
+        print(f"whole-dollar entry: deduction {r['whole_dollars']['d']}, credit {r['whole_dollars']['ptc']}")
+    rec = r["reconciliation"]
+    if rec["total_benefit"] is not None:
+        print(f"repayment: {rec['repayment']} (limitation {rec['limitation']})")
+        print(f"total benefit kept: {rec['total_benefit']}")
+    else:
+        print(f"additional credit at filing: {rec['additional_credit']}")
 
 
 def _check_max_iter(args: argparse.Namespace) -> None:
@@ -191,96 +160,101 @@ def _check_max_iter(args: argparse.Namespace) -> None:
         raise _CliError(f"--max-iter must be at least 2, got {args.max_iter}", EXIT_BAD_SCENARIO)
 
 
+def _point(p: IterationPoint | None) -> dict | None:
+    return None if p is None else {"n": p.index, "c": p.credit, "d": p.deduction}
+
+
 def _cmd_iterate(args: argparse.Namespace) -> int:
-    from .iteration import IterationStatus, _simplified, liminf_deduction, run_iteration
+    from .iteration import IterationStatus, _simplified, run_iteration
 
     _check_max_iter(args)
     ctx = _context(args)
     outcome = run_iteration(ctx, max_iter=args.max_iter)
     d2, c3 = _simplified(ctx, outcome.pairs)
-    code = {
+    cycle = outcome.cycle
+    report = {
+        "status": outcome.status.value,
+        "settled": _point(outcome.settled),
+        "cycle": None if cycle is None else {"period": cycle.period, "points": [_point(p) for p in cycle.points]},
+        "liminf_d": outcome.liminf_d,
+        "simplified": {"d2": d2, "c3": c3},
+        "trace": [_point(p) for p in outcome.trace],
+        "start_clamped": outcome.start_clamped,
+    }
+    if args.json:
+        print(canonical_json(report))
+    else:
+        _print_iterate(report, args.trace)
+    return {
         IterationStatus.CONVERGED_IRS_SENSE: EXIT_OK,
         IterationStatus.DIVERGED_DO_NOT_USE: EXIT_DIVERGED,
         IterationStatus.BUDGET_EXHAUSTED: EXIT_BUDGET,
     }[outcome.status]
-    if args.json:
-        print(canonical_json(_iterate_json(outcome, d2, c3)))
-        return code
 
-    print(f"status: {outcome.status.value}")
-    if outcome.start_clamped:
+
+def _print_iterate(r: dict, trace: bool) -> None:
+    print(f"status: {r['status']}")
+    if r["start_clamped"]:
         print("note: starting deduction clamped to keep the first step credit-eligible")
-    if args.trace:
-        print("n,C,D")
-        for p in outcome.trace:
-            print(f"{p.index},{p.credit.as_decimal()},{p.deduction.as_decimal()}")
-    if outcome.settled is not None:
-        s = outcome.settled
-        print(f"settled at n={s.index}: credit {s.credit}, deduction {s.deduction}")
-    if outcome.cycle is not None:
-        pts = " -> ".join(f"({p.credit}, {p.deduction})" for p in outcome.cycle.points)
-        print(f"cycle of period {outcome.cycle.period}: {pts}")
-    if outcome.status is not IterationStatus.BUDGET_EXHAUSTED:
-        print(f"liminf deduction: {liminf_deduction(outcome)}")
-    print(f"simplified method: deduction {d2}, credit {c3}")
-    return code
+    if trace:
+        _print_csv("n,C,D", r["trace"])
+    if r["settled"] is not None:
+        s = r["settled"]
+        print(f"settled at n={s['n']}: credit {s['c']}, deduction {s['d']}")
+    if r["cycle"] is not None:
+        pts = " -> ".join(f"({p['c']}, {p['d']})" for p in r["cycle"]["points"])
+        print(f"cycle of period {r['cycle']['period']}: {pts}")
+    if r["liminf_d"] is not None:
+        print(f"liminf deduction: {r['liminf_d']}")
+    print(f"simplified method: deduction {r['simplified']['d2']}, credit {r['simplified']['c3']}")
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .analysis import brute_force_max_feasible
-    from .iteration import IterationStatus, _simplified, liminf_deduction, run_iteration
+    from .iteration import _simplified, run_iteration
 
     _check_max_iter(args)
     ctx = _context(args)
     outcome = run_iteration(ctx, max_iter=args.max_iter)
     d2, c3 = _simplified(ctx, outcome.pairs)
     solution = optimal_deduction(ctx)
-    oracle_d = brute_force_max_feasible(ctx, Money(100))
-    gap = solution.ptc - c3
-    d0: Money | None = None
-    d0_ptc: Money | None = None
-    if outcome.status is not IterationStatus.BUDGET_EXHAUSTED:
-        d0 = liminf_deduction(outcome)
-        d0_ptc = ptc_of_deduction(ctx, d0)
-
+    settled, d0 = outcome.settled, outcome.liminf_d
+    report = {
+        "iterative": {
+            "status": outcome.status.value,
+            "d": None if settled is None else settled.deduction,
+            "ptc": None if settled is None else settled.credit,
+        },
+        "simplified": {"d": d2, "ptc": c3},
+        "liminf": {"d": d0, "ptc": None if d0 is None else ptc_of_deduction(ctx, d0)},
+        "bisection": {"d": solution.deduction, "ptc": solution.ptc},
+        "oracle": {"d": brute_force_max_feasible(ctx, Money(100))},
+        "benefit_gap": solution.ptc - c3,
+    }
     if args.json:
-        def pair(d: Money | None, ptc: Money | None) -> dict:
-            return {
-                "d": None if d is None else d.as_decimal(),
-                "ptc": None if ptc is None else ptc.as_decimal(),
-            }
-
-        payload = {
-            "iterative": {
-                "status": outcome.status.value,
-                **pair(
-                    None if outcome.settled is None else outcome.settled.deduction,
-                    None if outcome.settled is None else outcome.settled.credit,
-                ),
-            },
-            "simplified": pair(d2, c3),
-            "liminf": pair(d0, d0_ptc),
-            "bisection": pair(solution.deduction, solution.ptc),
-            "oracle": {"d": oracle_d.as_decimal()},
-            "benefit_gap": gap.as_decimal(),
-        }
-        print(canonical_json(payload))
-        return EXIT_OK
-
-    rows = [("method", "deduction", "credit")]
-    if outcome.settled is not None:
-        rows.append(("iterative", str(outcome.settled.deduction), str(outcome.settled.credit)))
+        print(canonical_json(report))
     else:
-        rows.append((f"iterative ({outcome.status.value})", "-", "-"))
-    rows.append(("simplified", str(d2), str(c3)))
-    rows.append(("liminf extension", str(d0) if d0 is not None else "-", str(d0_ptc) if d0_ptc is not None else "-"))
-    rows.append(("bisection", str(solution.deduction), str(solution.ptc)))
-    rows.append(("oracle ($1 lattice)", str(oracle_d), ""))
-    widths = [max(len(r[i]) for r in rows) for i in range(3)]
+        _print_compare(report)
+    return EXIT_OK
+
+
+def _print_compare(r: dict) -> None:
+    iterative = r["iterative"]
+    labels = {
+        "iterative": "iterative" if iterative["d"] is not None else f"iterative ({iterative['status']})",
+        "simplified": "simplified",
+        "liminf": "liminf extension",
+        "bisection": "bisection",
+        "oracle": "oracle ($1 lattice)",
+    }
+    rows = [("method", "deduction", "credit")]
+    for key, label in labels.items():
+        cells = (r[key]["d"], r[key].get("ptc", ""))
+        rows.append((label, *("-" if v is None else str(v) for v in cells)))
+    widths = [max(len(row[i]) for row in rows) for i in range(3)]
     for row in rows:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    print(f"benefit gap (bisection - simplified): {gap}")
-    return EXIT_OK
+    print(f"benefit gap (bisection - simplified): {r['benefit_gap']}")
 
 
 def _parse_cli_money(label: str, raw: str) -> Money:

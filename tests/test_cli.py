@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from ptcsolver.cli import main
+from ptcsolver.cli import canonical_json, main
+from ptcsolver.money import Money
+from ptcsolver.reconcile import UNLIMITED
 
 BROOKLYN = """\
 F = 16240
@@ -59,6 +62,13 @@ def test_solve_json_round_trips(brooklyn_file, capsys):
     assert payload["reconciliation"]["additional_credit"] == "4182.00"
     rerendered = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert rerendered == out
+
+
+def test_canonical_json_renders_report_values():
+    report = {"d": Money(620800), "limitation": UNLIMITED, "above": None, "n": 3}
+    assert canonical_json(report) == '{"above":null,"d":"6208.00","limitation":"unlimited","n":3}'
+    with pytest.raises(TypeError, match="Fraction is not a report value"):
+        canonical_json({"d": Fraction(1, 3)})
 
 
 def test_solve_whole_dollars(brooklyn_file, capsys):
@@ -326,19 +336,34 @@ def test_scan_rejects_reversed_range(brooklyn_file, capsys):
     assert main(["scan", brooklyn_file, "--from", "200", "--to", "100"]) == 2
 
 
+# argv with the scenario path as its second word: "{brooklyn}" or a file that does not exist.
+BAD_OPTION_VALUES = [
+    (["scan", "{brooklyn}", "--from", "71050", "--to", "71250", "--step", "0.5"], 2),
+    (["scan", "{brooklyn}", "--from", "71050", "--to", "71250", "--step", "-5"], 2),
+    (["iterate", "{brooklyn}", "--max-iter", "1"], 2),
+    (["compare", "{brooklyn}", "--max-iter", "1"], 2),
+    (["scan", "{brooklyn}", "--from", "abc", "--to", "71250"], 2),
+    (["solve", "{missing}"], 2),
+    (["solve", "{brooklyn}", "--params", "{params_2019}"], 3),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["scan", "--from", "71050", "--to", "71250", "--step", "0.5"],
-        ["scan", "--from", "71050", "--to", "71250", "--step", "-5"],
-        ["iterate", "--max-iter", "1"],
-        ["compare", "--max-iter", "1"],
-    ],
+    "argv, expected",
+    BAD_OPTION_VALUES,
+    ids=[f"argv{i}" for i in range(len(BAD_OPTION_VALUES))],
 )
-def test_bad_option_values_exit_2(brooklyn_file, capsys, argv):
-    code = main([argv[0], brooklyn_file, *argv[1:]])
+def test_bad_option_values_exit_2(brooklyn_file, tmp_path, capsys, argv, expected):
+    paths = {
+        "brooklyn": brooklyn_file,
+        "missing": str(tmp_path / "missing.scenario"),
+        "params_2019": str(resources.files("ptcsolver.data") / "2019.params"),
+    }
+    code = main([word.format(**paths) for word in argv])
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == expected
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    if expected == 3:
+        assert "parameter file is for 2019, scenario wants 2018" in captured.err

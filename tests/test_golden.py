@@ -29,6 +29,10 @@ Q_CAP_CASE = ["--mode", "dollar", *_sets(
 # tests/test_reconcile.py's 2019 worked example: a $1,200 shortfall capped at $800.
 REPAY_CAPPED_CASE = ["--mode", "dollar", *_sets(
     "F=20000", "P=8303", "Q=10000", "I=57000", "tax_year=2019", "APTC=5000")]
+# A convergent income with too small a step budget: the run ends unsettled.
+BUDGET_CASE = [*_sets("I=50000"), "--max-iter", "2"]
+# Income under the poverty line: the full premium is deducted, no credit.
+INELIGIBLE_CASE = _sets("F=16240", "P=4000", "Q=4000", "I=10000", "tax_year=2018")
 
 # case name -> (subcommand and options, exit code)
 CASES = {
@@ -63,12 +67,25 @@ CASES = {
     "solve_repay_unlimited_json": (["solve", "--json", *_sets("APTC=8000")], 0),
     "solve_repay_capped": (["solve", *REPAY_CAPPED_CASE], 0),
     "solve_repay_capped_json": (["solve", "--json", *REPAY_CAPPED_CASE], 0),
+    # A budget that runs out before the iteration settles.
+    "iterate_budget": (["iterate", "--trace", *BUDGET_CASE], 5),
+    "iterate_budget_json": (["iterate", "--json", *BUDGET_CASE], 5),
+    "compare_budget": (["compare", *BUDGET_CASE], 0),
+    "compare_budget_json": (["compare", "--json", *BUDGET_CASE], 0),
+    # A low income clamps the starting deduction.
+    "iterate_clamped": (["iterate", "--trace", *_sets("I=16000")], 0),
+    "iterate_clamped_json": (["iterate", "--json", *_sets("I=16000")], 0),
+    # The below-poverty branch, with every optional solve field.
+    "solve_ineligible": (["solve", "--trace", "--whole-dollars", *INELIGIBLE_CASE], 0),
+    "solve_ineligible_json": (["solve", "--trace", "--whole-dollars", "--json", *INELIGIBLE_CASE], 0),
     # The criterion-8 sweep, and the criterion-9 sweep in cents and dollar mode.
     "scan_criterion8": (["scan", "--from", "60000", "--to", "75000", "--step", "50"], 0),
     "scan_criterion9": (
         ["scan", "--from", "21800", "--to", "22400", "--step", "10", "--cents", "--mode", "dollar"],
         0,
     ),
+    # Two incomes below Q are skipped, each with one stderr line.
+    "scan_skipped": (["scan", "--from", "10200", "--to", "10500", "--step", "100"], 0),
 }
 
 
