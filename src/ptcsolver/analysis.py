@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .bisection import optimal_deduction, search_domain_upper
+from .bisection import optimal_deduction
 from .iteration import IterationStatus, _simplified, run_iteration
 from .money import Money, RoundingMode, round_cents
 from .params import TaxYearParams
@@ -65,12 +65,10 @@ def brute_force_max_feasible(ctx: PtcContext, step: Money = Money(100)) -> Money
     if step.cents not in (1, 100):
         raise ValueError(f"oracle step must be $0.01 or $1, got {step}")
     sc = ctx.scenario
-    upper = search_domain_upper(ctx)
-    if upper < Money(0):
-        upper = sc.billed_balance
+    upper_c = ctx.upper_cents if ctx.upper_cents >= 0 else sc.billed_balance.cents
     credit = ctx.credit_cents
     threshold_c = sc.purchased_premium.cents
-    upper_c, step_c = upper.cents, step.cents
+    step_c = step.cents
 
     best = 0
     for dc in range(0, upper_c + 1, step_c):

@@ -27,8 +27,7 @@ from enum import Enum
 from functools import cached_property
 
 from .money import Money, RoundingMode
-from .ptc import PtcContext, deduction_cap_cents
-from .scenario import Scenario
+from .ptc import PtcContext
 from .search import last_true
 
 
@@ -89,20 +88,8 @@ class Solution:
 
 
 def search_domain_upper(ctx: PtcContext) -> Money:
-    """Upper end of the deduction search interval.
-
-    The billed balance Q - APTC, further capped so chained household
-    income stays at or above the poverty line (or above zero when the
-    below-poverty exception applies): that keeps the search where the
-    credit function is monotone and the household eligible.  Larger
-    deductions trade a zero credit for tax savings the solver
-    deliberately does not model.
-    """
-    return Money(_upper_cents(ctx.scenario))
-
-
-def _upper_cents(sc: Scenario) -> int:
-    return deduction_cap_cents(sc, 0 if sc.below_poverty_exception else sc.poverty_line.cents)
+    """Upper end of the deduction search interval: ``ctx.upper_cents`` as Money."""
+    return Money(ctx.upper_cents)
 
 
 def optimal_deduction(ctx: PtcContext) -> Solution:
@@ -118,7 +105,7 @@ def optimal_deduction(ctx: PtcContext) -> Solution:
     """
     sc = ctx.scenario
     credit = ctx.credit_cents
-    upper = _upper_cents(sc)
+    upper = ctx.upper_cents
     threshold = sc.purchased_premium.cents
 
     if upper < 0:

@@ -10,8 +10,8 @@ arithmetic; the jump and the breakpoints are classified without any
 floating-point error.
 
 The curve is written down once, as :attr:`FigureTable.segments`.
-:func:`applicable_figure` and :func:`figure_at` interpolate those rows in
-``Fraction`` arithmetic; the credit kernel in :mod:`ptcsolver.ptc` uses
+:func:`applicable_figure` interpolates those rows in ``Fraction``
+arithmetic; the credit kernel in :mod:`ptcsolver.ptc` uses
 their integer form (:attr:`FigureTable.integer_segments`) with
 :func:`cent_cuts`, which :func:`check_monotone_rows` proves monotone once
 per table.
@@ -193,13 +193,8 @@ def applicable_figure(m: Fraction, table: FigureTable, quantize: bool = False) -
     m = Fraction(m)
     if not 0 <= m <= BREAKPOINTS[-1]:
         raise ValueError(f"income multiple {m} outside [0, {BREAKPOINTS[-1]}]")
-    value = figure_at(m, table)
+    start, value, slope = table.segments[bisect_right(_CUTS, m)]
+    value += slope * (m - start)
     if quantize:
         value = round_fraction(value, _TEN_THOUSANDTH)
     return value
-
-
-def figure_at(m: Fraction, table: FigureTable) -> Fraction:
-    """The exact figure at a multiple ``m`` in [0, 4], unchecked."""
-    start, value, slope = table.segments[bisect_right(_CUTS, m)]
-    return value + slope * (m - start)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .bisection import _upper_cents
 from .money import Money, round_cents
 from .ptc import PtcContext
 
@@ -84,7 +83,7 @@ def default_start(ctx: PtcContext) -> tuple[int, bool]:
     starting deduction is clamped to keep the first income evaluation
     eligible; the clamp is recorded so callers can surface it.
     """
-    billed, upper = ctx.scenario.billed_balance.cents, _upper_cents(ctx.scenario)
+    billed, upper = ctx.scenario.billed_balance.cents, ctx.upper_cents
     return (billed, False) if upper >= billed else (max(0, upper), True)
 
 

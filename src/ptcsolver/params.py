@@ -7,6 +7,7 @@ years load from user-supplied files of the same format.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -22,6 +23,10 @@ SCHEMA_VERSION = 1
 _FIGURE_KEYS = ("figure.j", "figure.k", "figure.l", "figure.a", "figure.b", "figure.c")
 _REPAY_KEYS = ("repay.single.r", "repay.single.s", "repay.single.t")
 _REPAY_OTHER_KEYS = ("repay.other.r", "repay.other.s", "repay.other.t")
+
+# Digits and up to four decimals: the figure in ten-thousandths.  The
+# integer part is bounded so that no value costs a long int conversion.
+_FIGURE_RE = re.compile(r"(\d{1,9})(?:\.(\d{1,4}))?")
 
 
 @dataclass(frozen=True)
@@ -77,10 +82,13 @@ class TaxYearParams:
 
 
 def _parse_figure_value(key: str, raw: str, line: int) -> Fraction:
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"not a decimal: {raw!r}", key=key, line=line) from None
+    match = _FIGURE_RE.fullmatch(raw)
+    if not match:
+        raise DocumentError(
+            f"expected a decimal with at most four places, got {raw!r}", key=key, line=line
+        )
+    whole, frac = match.groups("")
+    return Fraction(int(whole) * 10000 + int(frac.ljust(4, "0")), 10000)
 
 
 def _parse_whole_dollars(key: str, raw: str, line: int) -> Money:
@@ -114,9 +122,9 @@ def load_tax_year_params(source: str | Path | IO[str]) -> TaxYearParams:
             key="schema_version",
             line=version_line,
         )
-    year, _ = require("year")
+    year, year_line = require("year")
     if not year:
-        raise DocumentError("year must be non-empty", key="year")
+        raise DocumentError("year must be non-empty", key="year", line=year_line)
 
     figure_values = []
     for key in _FIGURE_KEYS:

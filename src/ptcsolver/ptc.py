@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .figures import BREAKPOINTS, applicable_figure, cent_cuts, figure_at
+from .figures import BREAKPOINTS, applicable_figure, cent_cuts
 from .money import Money, RoundingMode, div_half_away, money_ratio, round_cents, round_money
 from .params import TaxYearParams
 from .scenario import Scenario
@@ -97,6 +97,22 @@ class PtcContext:
             return diff if diff < qc else qc
 
         return credit_cents
+
+    @cached_property
+    def upper_cents(self) -> int:
+        """Upper end U of the deduction search domain, in cents.
+
+        The billed balance Q - APTC, further capped so chained household
+        income stays at or above the poverty line (or zero with the
+        below-poverty exception): that keeps the search where the credit
+        is monotone and the household eligible.  Larger deductions trade
+        a zero credit for tax savings the solver does not model.  Negative
+        when even a zero deduction misses the floor.  Built on first
+        access and kept: the solve, the guidance's starting deduction and
+        the lattice oracle all read it here.
+        """
+        sc = self.scenario
+        return deduction_cap_cents(sc, 0 if sc.below_poverty_exception else sc.poverty_line.cents)
 
 
 def household_income(ctx: PtcContext, deduction: Money) -> Money:
@@ -207,12 +223,8 @@ def ptc_base(ctx: PtcContext, income: Money) -> Money:
     if m < 0:
         raise ValueError("household income is negative")
     figure = applicable_figure(m, ctx.params.figure_table)
-    return _credit(sc, expected_contribution(income, figure, ctx.rounding), ctx.rounding)
-
-
-def _credit(sc: Scenario, contribution: Money, rounding: RoundingMode) -> Money:
-    """``P - contribution``, rounded per mode and clamped to [0, Q]."""
-    remainder = round_cents(sc.benchmark_premium.cents - contribution.cents, rounding)
+    contribution = expected_contribution(income, figure, ctx.rounding)
+    remainder = round_cents(sc.benchmark_premium.cents - contribution.cents, ctx.rounding)
     return Money(min(sc.purchased_premium.cents, max(0, remainder)))
 
 
@@ -234,12 +246,12 @@ def ptc_of_deduction(ctx: PtcContext, deduction: Money) -> Money:
 def ptc_of_deduction_reference(ctx: PtcContext, deduction: Money) -> Money:
     """Transparent Fraction-based twin of :func:`ptc_of_deduction`.
 
-    Takes the chained household income and its exact multiple of the
-    poverty line once, then what :func:`ptc_base` computes there, without
-    repeating its checks: the figure from the table's ``(start, value,
-    slope)`` rows, the contribution in ``Fraction`` arithmetic and the
-    clamped remainder.  It shares nothing with the integer kernel and is
-    kept as an executable cross-check of it (the test suite asserts exact
+    Zero when the chained household income lies outside the eligible
+    band, ``[F, 4F]`` or ``[0, 4F]`` with the below-poverty exception;
+    otherwise :func:`ptc_base` at that income, which reads the figure
+    from the table's ``(start, value, slope)`` rows in ``Fraction``
+    arithmetic.  It shares nothing with the integer kernel and is kept as
+    an executable cross-check of it (the test suite asserts exact
     agreement across random scenarios).
     """
     sc = ctx.scenario
@@ -247,5 +259,4 @@ def ptc_of_deduction_reference(ctx: PtcContext, deduction: Money) -> Money:
     m = Fraction(income.cents, sc.poverty_line.cents)
     if not (0 if sc.below_poverty_exception else BREAKPOINTS[0]) <= m <= BREAKPOINTS[-1]:
         return Money(0)
-    figure = figure_at(m, ctx.params.figure_table)
-    return _credit(sc, round_money(income.dollars * figure, ctx.rounding), ctx.rounding)
+    return ptc_base(ctx, income)

@@ -112,6 +112,18 @@ def test_failures_recorded_not_raised(brooklyn, params_2018):
     failed_incomes = [income for income, _ in result.failures]
     assert D(10000) in failed_incomes
     assert any(r.income == D(11000) for r in result.records)
+    # Without on_error the first invalid point ends the sweep.
+    with pytest.raises(ValueError, match="I must be at least Q"):
+        list(scan_records(brooklyn, D(10000), D(12000), D(1000), params_2018))
+
+
+@pytest.mark.parametrize(
+    "lo,hi,step,message",
+    [(D(71150), D(71149), D(1), "empty income range"), (D(71150), D(71160), D("0.99"), "at least")],
+)
+def test_scan_rejects_a_bad_grid(brooklyn, params_2018, lo, hi, step, message):
+    with pytest.raises(ValueError, match=message):
+        next(scan_records(brooklyn, lo, hi, step, params_2018))
 
 
 def test_point_errors_other_than_validation_propagate(brooklyn, params_2018, monkeypatch):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from ptcsolver import (
     tax_year_params,
     whole_dollar_view,
 )
-from ptcsolver import bisection
+from ptcsolver import bisection, ptc
 from ptcsolver.iteration import IterationStatus
 from ptcsolver.money import Money
 
@@ -286,6 +287,26 @@ def test_filed_return_kernel_calls(monkeypatch, brooklyn, params_2018, branch, e
     assert len(calls) == len(probes) + extra
 
 
+def test_search_domain_is_computed_once_per_context(monkeypatch, brooklyn, params_2018):
+    # With a student-loan cap each computation of U is a bisection of its own;
+    # the iteration's start, the solve, its certificate and the oracle share one.
+    real = ptc.deduction_cap_cents
+    calls = []
+
+    def counting(sc, floor_c):
+        calls.append(floor_c)
+        return real(sc, floor_c)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("ptcsolver") and hasattr(module, "deduction_cap_cents"):
+            monkeypatch.setattr(module, "deduction_cap_cents", counting)
+    ctx = PtcContext(dataclasses.replace(brooklyn, student_loan_cap=D(2500)), params_2018)
+    run_iteration(ctx)
+    solution = optimal_deduction(ctx)
+    assert brute_force_max_feasible(ctx, D(1)).cents == solution.deduction.cents // 100 * 100
+    assert calls == [brooklyn.poverty_line.cents]
+
+
 def test_aptc_equal_to_premium(params_2018, brooklyn):
     sc = Scenario(
         poverty_line=brooklyn.poverty_line,
@@ -341,6 +362,10 @@ def test_certificate_values_recomputed(brooklyn_cent_ctx):
     assert solution.certificate.value_at == d + Money(credit(d.cents))
     above = d + D(1)
     assert solution.certificate.value_above == above + Money(credit(above.cents))
+    certificate = solution.certificate
+    assert certificate.holds()
+    assert not dataclasses.replace(certificate, value_at=certificate.threshold + D("0.01")).holds()
+    assert not dataclasses.replace(certificate, value_above=certificate.threshold).holds()
 
 
 def test_equation_gap_certificate(brooklyn, params_2018):

@@ -115,6 +115,8 @@ def test_table_validation():
         FigureTable.from_decimals("0.02", "0.03", "0.04", "0.06", "0.08", "0.1")
     with pytest.raises(ValueError, match="ten-thousandth"):
         FigureTable(F(1, 3), F("0.03"), F("0.04"), F("0.06"), F("0.08"), F("0.09"))
+    with pytest.raises(TypeError, match="figure.k: expected Fraction, got float"):
+        FigureTable(F("0.02"), 0.03, F("0.04"), F("0.06"), F("0.08"), F("0.09"))
     # A constant table is legal: used for single-figure illustrations.
     flat = FigureTable.from_decimals(*["0.09"] * 6)
     assert applicable_figure(F(4), flat) == F("0.09")

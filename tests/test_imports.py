@@ -98,3 +98,9 @@ def test_dir_lists_lazy_names_and_unknown_names_raise(child_env):
     assert report["missing"] == []
     assert report["error"] == "module 'ptcsolver' has no attribute 'no_such_name'"
     assert report["loaded"] == []
+
+
+def test_dir_lists_every_public_name_in_process():
+    # The test above reads dir() in a child interpreter, out of sight of
+    # tools/linecov.py; this one runs __dir__ in the test process.
+    assert set(ptcsolver.__all__) <= set(dir(ptcsolver))

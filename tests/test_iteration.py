@@ -163,16 +163,16 @@ def test_simplified_method_convergent_case(brooklyn, params_2018):
     assert c3 == Money(credit(d2.cents))
 
 
-def test_liminf(brooklyn_dollar_ctx, params_2018):
+def test_liminf(brooklyn, brooklyn_dollar_ctx, params_2018):
     outcome = run_iteration(brooklyn_dollar_ctx)
     assert liminf_deduction(outcome) == D(5809)
     ctx = PtcContext(ptc_zero_scenario(), params_2018)
     settled_outcome = run_iteration(ctx)
     assert liminf_deduction(settled_outcome) == settled_outcome.settled.deduction
-    starved = run_iteration(brooklyn_dollar_ctx, max_iter=2)
-    if starved.status is IterationStatus.BUDGET_EXHAUSTED:
-        with pytest.raises(ValueError):
-            liminf_deduction(starved)
+    starved = run_iteration(PtcContext(brooklyn.with_income(D(50000)), params_2018), max_iter=2)
+    assert starved.status is IterationStatus.BUDGET_EXHAUSTED
+    with pytest.raises(ValueError, match="budget was exhausted"):
+        liminf_deduction(starved)
 
 
 def test_budget_exhausted_is_not_silent(brooklyn, params_2018):

@@ -113,6 +113,12 @@ def test_arithmetic_is_exact():
     assert D("0.10") + D("0.20") == D("0.30")
     assert 3 * D("0.01") == D("0.03")
     assert -D(5) == D(-5)
+    with pytest.raises(TypeError, match="multiplied by an integer"):
+        D(1) * Fraction(1, 2)
+
+
+def test_truth_is_nonzero():
+    assert [bool(D(x)) for x in ("0.01", -1, 0)] == [True, True, False]
 
 
 def test_ordering():

@@ -12,6 +12,7 @@ from ptcsolver import (
     load_tax_year_params,
     tax_year_params,
 )
+from ptcsolver import params as params_module
 from ptcsolver.money import Money
 
 GOOD_DOC = """\
@@ -62,6 +63,16 @@ def test_bundled_years_match_published_values():
 def test_unknown_year():
     with pytest.raises(KeyError):
         tax_year_params("1999")
+
+
+def test_bundled_file_must_declare_its_year(monkeypatch):
+    load = params_module.load_tax_year_params
+    monkeypatch.setattr(
+        params_module, "load_tax_year_params", lambda text: dataclasses.replace(load(text), year="2017")
+    )
+    with pytest.raises(DocumentError, match="bundled file for 2018 declares year 2017") as err:
+        tax_year_params("2018")
+    assert err.value.key == "year"
 
 
 def test_round_trip():
@@ -115,12 +126,33 @@ def test_doubling_rule_default_and_override():
         (lambda d: d + "mystery.key = 1\n", "mystery.key"),
         (lambda d: d + "repay.other.r = 500\n", "repay.*"),
         (lambda d: d + "repay.other.r = 900\nrepay.other.s = 500\nrepay.other.t = 1500\n", "repay.*"),
+        pytest.param(lambda d: d.replace("0.0201", "1/50"), "figure.j", id="figure-slash"),
+        pytest.param(lambda d: d.replace("0.0201", "0.0201e0"), "figure.j", id="figure-exponent"),
+        pytest.param(lambda d: d.replace("0.0201", "1e-4000"), "figure.j", id="figure-tiny-exponent"),
+        pytest.param(lambda d: d.replace("0.0302", "0.03021"), "figure.k", id="figure-fifth-decimal"),
+        pytest.param(lambda d: d.replace("0.0302", ".0302"), "figure.k", id="figure-no-integer-part"),
+        pytest.param(lambda d: d.replace("0.0302", "-0.0302"), "figure.k", id="figure-sign"),
+        pytest.param(lambda d: d.replace("0.0302", "0.0302."), "figure.k", id="figure-trailing-dot"),
+        pytest.param(lambda d: d.replace("0.0956", "9" * 5000), "figure.c", id="figure-5000-digits"),
+        pytest.param(lambda d: d.replace("year = 2018", "year ="), "year", id="empty-year"),
+        pytest.param(lambda d: d + "repay.single.r = 300\n", "repay.single.r", id="duplicate-key"),
     ],
 )
 def test_errors_name_offending_key(mangle, key):
+    doc = mangle(GOOD_DOC)
     with pytest.raises(DocumentError) as err:
-        load_tax_year_params(mangle(GOOD_DOC))
+        load_tax_year_params(doc)
     assert err.value.key == key
+    lines = doc.splitlines()
+    if any(line.startswith(f"{key} =") for line in lines):
+        # A key that is in the document is named with its line.
+        assert lines[err.value.line - 1].startswith(f"{key} =")
+
+
+def test_figure_values_read_exactly():
+    doc = GOOD_DOC.replace("figure.j = 0.0201", "figure.j = 0.02").replace("0.0956", "00.0956")
+    table = load_tax_year_params(doc).figure_table
+    assert (table.j, table.c) == (Fraction(2, 100), Fraction(956, 10000))
 
 
 @pytest.mark.parametrize("raw", ["\u00b3", "1\u00b2", "\u2460"])
@@ -141,6 +173,9 @@ def test_malformed_line_reports_line_number():
     with pytest.raises(DocumentError) as err:
         load_tax_year_params("schema_version = 1\nnot a kv line\n")
     assert err.value.line == 2
+    with pytest.raises(DocumentError, match="missing key before '='") as err:
+        load_tax_year_params("schema_version = 1\n = 1\n")
+    assert (err.value.key, err.value.line) == (None, 2)
 
 
 def test_decreasing_values_rejected():

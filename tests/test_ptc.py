@@ -57,8 +57,10 @@ def test_expected_contribution():
     assert expected_contribution(D(60760), Fraction("0.0956"), RoundingMode.DOLLAR) == D(5809)
     assert expected_contribution(D(60760), Fraction("0.0956"), RoundingMode.CENT) == D("5808.66")
     assert expected_contribution(D(0), Fraction("0.05"), RoundingMode.CENT) == D(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="figure must lie in"):
         expected_contribution(D(100), Fraction("0.2"), RoundingMode.CENT)
+    with pytest.raises(ValueError, match="income must be non-negative"):
+        expected_contribution(D("-0.01"), Fraction("0.05"), RoundingMode.CENT)
 
 
 def _flat_09_params() -> TaxYearParams:
@@ -85,6 +87,20 @@ def test_ptc_base_single_figure_example():
 
 def test_ptc_base_brooklyn(brooklyn_dollar_ctx):
     assert ptc_base(brooklyn_dollar_ctx, D(60760)) == D(4581)
+
+
+@pytest.mark.parametrize(
+    "income,exception,message",
+    [
+        (D("64960.01"), False, "no credit applies"),  # just above 4F
+        (D("16239.99"), False, "without the below-poverty exception"),
+        (D("-0.01"), True, "household income is negative"),
+    ],
+)
+def test_ptc_base_refuses_ineligible_income(brooklyn, params_2018, income, exception, message):
+    ctx = PtcContext(dataclasses.replace(brooklyn, below_poverty_exception=exception), params_2018)
+    with pytest.raises(ValueError, match=message):
+        ptc_base(ctx, income)
 
 
 def test_ptc_base_clamps_to_zero(params_2018):
@@ -145,6 +161,8 @@ def test_below_poverty_exception(params_2018):
 )
 def test_student_loan_deduction(magi, expected):
     assert student_loan_deduction(D(2500), magi) == expected
+    with pytest.raises(ValueError, match="cap must be non-negative"):
+        student_loan_deduction(D("-0.01"), magi)
 
 
 def test_student_loan_monotone_nonincreasing():

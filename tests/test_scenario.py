@@ -74,6 +74,12 @@ def test_flags_only_scenario():
         (BROOKLYN_DOC + "APTC = twelve\n", "APTC"),
         (BROOKLYN_DOC + "windfall = 1\n", "windfall"),
         (BROOKLYN_DOC.replace("Q = 10390\n", ""), "Q"),
+        # Each document below breaks one Scenario check and passes the others.
+        (BROOKLYN_DOC.replace("P = 10390", "P = 0"), None),
+        (BROOKLYN_DOC.replace("Q = 10390", "Q = 0"), None),
+        (BROOKLYN_DOC + "d0 = -0.01\n", None),
+        (BROOKLYN_DOC + "student_loan_k = -1\n", None),
+        (BROOKLYN_DOC + "I = 1\n", "I"),  # a duplicate key
     ],
 )
 def test_invalid_documents(doc, key):
